@@ -11,12 +11,10 @@ maximum.  Every verification returns a :class:`~envlab.report.VerificationReport
 from .envelope import (convexity_defect, equilibrium_envelope, hull_envelope,
                        legendre_transform, legendre_values)
 from .envelope2d import (equilibrium_envelope_2d, grid_line_defects,
-                         hull_envelope_2d, polygon_inequalities,
-                         project_to_polygon)
-from .errors import (ConvergenceError, EnvlabError, GluingError,
-                     InvalidCoverError, InvalidInputError,
-                     InvalidParameterError, NoEnvelopeError, PrecisionError,
-                     UnboundedTransformError)
+                         hull_envelope_2d)
+from .errors import (EnvlabError, GluingError, InvalidCoverError,
+                     InvalidInputError, InvalidParameterError, NoEnvelopeError,
+                     PrecisionError, UnboundedTransformError)
 from .family import (FamilyCurve, ModelBundlePair, cayley_polytope,
                      check_monotone_family, check_right_continuity,
                      check_upper_semicontinuity, default_t_grid, family_curve,
@@ -43,9 +41,8 @@ __all__ = [
     "convexity_defect", "equilibrium_envelope", "hull_envelope",
     "legendre_transform", "legendre_values",
     "equilibrium_envelope_2d", "grid_line_defects", "hull_envelope_2d",
-    "polygon_inequalities", "project_to_polygon",
     "EnvlabError", "InvalidInputError", "InvalidParameterError",
-    "UnboundedTransformError", "NoEnvelopeError", "ConvergenceError",
+    "UnboundedTransformError", "NoEnvelopeError",
     "PrecisionError", "InvalidCoverError", "GluingError",
     "FamilyCurve", "ModelBundlePair", "cayley_polytope",
     "check_monotone_family", "check_right_continuity",

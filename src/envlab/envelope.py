@@ -75,8 +75,9 @@ def legendre_transform(w: SampledWeight, interval: SlopeInterval,
 def _upper_line_envelope(slopes, intercepts):
     """Upper envelope of lines y = slopes[i]*x + intercepts[i].
 
-    Slopes must be strictly increasing.  Returns (kept indices, crossing
-    points between consecutive kept lines).
+    Slopes must be nondecreasing, with equal slopes ordered by increasing
+    intercept.  Returns (kept indices, crossing points between consecutive
+    kept lines).
     """
     keep: list[int] = []
     cross: list[float] = []

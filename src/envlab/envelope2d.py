@@ -1,250 +1,119 @@
 """Constrained convex envelopes of 2-d sampled weights.
 
-The envelope of u(tau, s) over a gradient polytope P is the pointwise
-maximum of all affine minorants of u whose slope pair lies in P.  The
-primary route works directly with that characterisation:
+The envelope of u(tau, s) over a gradient polytope P is the double Legendre
+transform restricted to P:
 
-1. cheap certification: a grid node v where some plane with slope in P
-   supports u at v is a contact node, so the envelope equals u there.
-   Candidate slopes are the local central and one-sided divided-difference
-   gradients projected onto P;
-2. every remaining node gets the exact best affine minorant from a small
-   linear program (three unknowns: slope pair and offset), and the optimal
-   plane is propagated to all nodes inside the convex hull of its contact
-   set, so only a handful of programs run per face of the envelope.
+    u_e(x) = max over sigma in P of (sigma . x - u*(sigma)),
+    u*(sigma) = max_i (sigma . x_i - u_i).
 
-The independent oracle :func:`hull_envelope_2d` builds the lower convex
-hull of the lifted point cloud with Qhull and evaluates its facet planes.
+u* is convex and piecewise linear, so for each x the maximum over P sits at
+a vertex of u*'s linearity cells cut by P (discrete Legendre transform,
+Lucet 1997).  :func:`equilibrium_envelope_2d` collects every such vertex:
+
+(a) gradients of the lower-hull facets of the lifted cloud (tau, s, u) that
+    lie in P; they are the vertices of the cells (Qhull);
+(b) kinks of u* along each edge of P, from the 1-d upper line envelope;
+(c) the vertices of P.
+
+u* is then evaluated exactly at every candidate slope, so each candidate
+plane is a minorant of u at every node by construction.
+
+The independent oracle :func:`hull_envelope_2d` evaluates the lower-hull
+facet planes themselves and ignores P.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
-from .envelope import _monotone_chain_lower
-from .errors import ConvergenceError
+from .envelope import _upper_line_envelope
+from .errors import InvalidInputError
 from .weights import SampledWeight2D
 
 __all__ = [
     "equilibrium_envelope_2d",
     "hull_envelope_2d",
     "grid_line_defects",
-    "polygon_inequalities",
-    "project_to_polygon",
 ]
 
 
-def polygon_inequalities(poly):
-    """Half-plane representation {x : A x <= b} of a convex vertex set."""
-    poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] == 1:
-        v = poly[0]
-        a = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        b = np.array([v[0], -v[0], v[1], -v[1]])
-        return a, b
-    if poly.shape[0] == 2:
-        p, q = poly
-        d = q - p
-        n = np.array([d[1], -d[0]])
-        a = np.array([n, -n, d, -d])
-        b = np.array([n @ p, -(n @ p), max(d @ p, d @ q), -min(d @ p, d @ q)])
-        return a, b
-    nxt = np.roll(poly, -1, axis=0)
-    d = nxt - poly
-    # CCW polygon: outward normal of each edge
-    normals = np.stack([d[:, 1], -d[:, 0]], axis=1)
-    return normals, np.einsum("ij,ij->i", normals, poly)
+def _node_arrays(w: SampledWeight2D):
+    """Grid nodes as (n, 2) rows (tau, s) and the values u at them."""
+    tt, ss = np.meshgrid(w.grid_tau, w.grid_s, indexing="ij")
+    return np.stack([tt.ravel(), ss.ravel()], axis=1), w.values.ravel()
 
 
-def project_to_polygon(points, poly):
-    """Euclidean projection of points (n, 2) onto a convex vertex set."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    poly = np.asarray(poly, dtype=float)
-    if poly.shape[0] == 1:
-        return np.broadcast_to(poly[0], pts.shape).copy()
-    a, b = polygon_inequalities(poly)
-    inside = np.all(pts @ a.T <= b[None, :] + 1e-12, axis=1)
-    out = pts.copy()
-    todo = ~inside
-    if np.any(todo):
-        p = pts[todo]
-        best = None
-        best_d = np.full(p.shape[0], np.inf)
-        m = poly.shape[0]
-        segs = [(poly[i], poly[(i + 1) % m]) for i in range(m)] if m > 2 \
-            else [(poly[0], poly[1])]
-        for s0, s1 in segs:
-            d = s1 - s0
-            denom = float(d @ d)
-            t = ((p - s0) @ d) / denom if denom > 0 else np.zeros(p.shape[0])
-            t = np.clip(t, 0.0, 1.0)
-            proj = s0 + t[:, None] * d
-            dist = np.einsum("ij,ij->i", p - proj, p - proj)
-            if best is None:
-                best, best_d = proj, dist
-            else:
-                take = dist < best_d
-                best[take] = proj[take]
-                best_d[take] = dist[take]
-        out[todo] = best
+def _lower_facet_planes(nodes, uu):
+    """Gradients (k, 2) and offsets (k,) of the lower-hull facet planes."""
+    try:
+        eqs = ConvexHull(np.column_stack([nodes, uu]), qhull_options="Qt").equations
+    except QhullError as exc:
+        if "QH6154" not in str(exc):
+            raise InvalidInputError(f"Qhull failed on the lifted grid: {exc}") from exc
+        # Flat initial simplex.  The grid has at least two points per axis,
+        # so a coplanar lifted cloud means u is affine: one plane.
+        coef = np.linalg.lstsq(np.column_stack([nodes, np.ones_like(uu)]), uu,
+                               rcond=None)[0]
+        return coef[None, :2], coef[2:]
+    lower = eqs[eqs[:, 2] < -1e-12]
+    return -lower[:, :2] / lower[:, 2:3], -lower[:, 3] / lower[:, 2]
+
+
+def _max_of_planes(grad, offset, pts):
+    """max_k (grad_k . p + offset_k) at every row p of ``pts``, chunked."""
+    out = np.full(pts.shape[0], -np.inf)
+    chunk = max(1, int(2**23 // pts.shape[0]))
+    for k in range(0, offset.size, chunk):
+        block = grad[k:k + chunk] @ pts.T
+        block += offset[k:k + chunk, None]
+        out = np.maximum(out, block.max(axis=0))
     return out
 
 
-def _node_arrays(w: SampledWeight2D):
-    tt, ss = np.meshgrid(w.grid_tau, w.grid_s, indexing="ij")
-    return tt.ravel(), ss.ravel(), w.values.ravel()
+def _in_polygon(pts, poly):
+    """Rows of ``pts`` inside the closed CCW polygon ``poly`` (m >= 3)."""
+    d = np.roll(poly, -1, axis=0) - poly
+    rel = pts[:, None, :] - poly[None, :, :]
+    cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
+    return np.all(cross >= 0.0, axis=1)
 
 
-def _certify(wt, ws, uu, slopes, candidates, tol):
-    """Nodes where the candidate-slope plane through the node is a minorant."""
-    n = uu.size
-    ok = np.zeros(n, dtype=bool)
-    val_v = uu[candidates] - slopes[:, 0] * wt[candidates] - slopes[:, 1] * ws[candidates]
-    chunk = max(1, int(2**23 // n))
-    for k in range(0, candidates.size, chunk):
-        idx = slice(k, k + chunk)
-        block = (uu[None, :]
-                 - slopes[idx, 0][:, None] * wt[None, :]
-                 - slopes[idx, 1][:, None] * ws[None, :])
-        ok[candidates[idx]] |= block.min(axis=1) >= val_v[idx] - tol
-    return ok
+def _edge_kinks(p, q, nodes, uu):
+    """Kinks of u* on the open edge (p, q), as slope pairs.
+
+    Along sigma = p + lam (q - p) the conjugate is the upper envelope of
+    the lines lam -> (d . x_i) lam + (p . x_i - u_i).
+    """
+    d = q - p
+    slope = nodes @ d
+    icpt = nodes @ p - uu
+    order = np.lexsort((icpt, slope))
+    _, cross = _upper_line_envelope(slope[order], icpt[order])
+    lam = cross[(cross > 0.0) & (cross < 1.0)]
+    return p + lam[:, None] * d
 
 
-def _one_sided_gradients(w: SampledWeight2D):
-    """Forward/backward divided differences along each axis, edge-clamped."""
-    u = w.values
-    dt = np.diff(w.grid_tau)[:, None]
-    ds = np.diff(w.grid_s)[None, :]
-    ft = np.diff(u, axis=0) / dt
-    fs = np.diff(u, axis=1) / ds
-    fwd_t = np.vstack([ft, ft[-1:]])
-    bwd_t = np.vstack([ft[:1], ft])
-    fwd_s = np.hstack([fs, fs[:, -1:]])
-    bwd_s = np.hstack([fs[:, :1], fs])
-    return (fwd_t, bwd_t, fwd_s, bwd_s)
-
-
-def _points_in_polygon(px, py, verts):
-    """Vectorised containment test for a CCW convex polygon (closed)."""
-    inside = np.ones(px.size, dtype=bool)
-    m = verts.shape[0]
-    for i in range(m):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % m]
-        inside &= (x1 - x0) * (py - y0) - (y1 - y0) * (px - x0) >= -1e-9
-    return inside
-
-
-def equilibrium_envelope_2d(w: SampledWeight2D, max_programs: int = None,
-                            contact_tol: float = 1e-11) -> SampledWeight2D:
+def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
     """Largest convex minorant of u with gradient in ``w.slope_polytope``.
 
-    Exact at the grid nodes (up to LP solver tolerance); the result is below
-    the input and convex along every grid line.
-
-    Raises :class:`ConvergenceError` when the linear-program budget is
-    exhausted before every node is resolved.
+    Exact at the grid nodes; the result is below the input and convex
+    along every grid line.
     """
-    wt, ws, uu = _node_arrays(w)
-    n = uu.size
-    if max_programs is None:
-        max_programs = 4 * n + 1024
-    scale = max(1.0, float(np.abs(uu).max()))
-    tol = contact_tol * scale
+    nodes, uu = _node_arrays(w)
     poly = w.slope_polytope
-
-    resolved = np.zeros(n, dtype=bool)
-    env = uu.copy()
-
-    # --- certification sweep: central gradients, then one-sided combos
-    gt, gs = np.gradient(w.values, w.grid_tau, w.grid_s)
-    central = np.stack([gt.ravel(), gs.ravel()], axis=1)
-    cand = np.arange(n)
-    slopes = project_to_polygon(central, poly)
-    resolved |= _certify(wt, ws, uu, slopes[cand], cand, tol)
-
-    fwd_t, bwd_t, fwd_s, bwd_s = _one_sided_gradients(w)
-    for st in (fwd_t, bwd_t):
-        for ss_ in (fwd_s, bwd_s):
-            todo = np.flatnonzero(~resolved)
-            if todo.size == 0:
-                break
-            combo = np.stack([st.ravel()[todo], ss_.ravel()[todo]], axis=1)
-            combo = project_to_polygon(combo, poly)
-            resolved |= _certify(wt, ws, uu, combo, todo, tol)
-
-    # --- exact best minorant per remaining node.  Each program runs on a
-    # small working set of node constraints grown by cutting planes: the
-    # relaxed optimum is exact once it violates no constraint on the full
-    # grid.  Binding rows are pooled across nodes, so after warmup most
-    # nodes settle in a single small solve.
-    rows = np.stack([wt, ws, np.ones(n)], axis=1)
-    a_poly, b_poly = polygon_inequalities(poly)
-    a_poly3 = np.hstack([a_poly, np.zeros((a_poly.shape[0], 1))])
-    base = np.arange(0, n, max(1, n // 512))
-    carry = np.empty(0, dtype=np.intp)  # binding rows of the previous node
-    feas_tol = 1e-9 * scale
-
-    n_programs = 0
-    while True:
-        todo = np.flatnonzero(~resolved)
-        if todo.size == 0:
-            break
-        v = int(todo[0])
-        cost = np.array([-wt[v], -ws[v], -1.0])
-        work = np.unique(np.concatenate([base, carry, [v]]))
-        while True:
-            if n_programs >= max_programs:
-                raise ConvergenceError(
-                    f"{todo.size} nodes unresolved after {n_programs} programs",
-                    residual=int(todo.size))
-            res = linprog(c=cost,
-                          A_ub=np.concatenate([rows[work], a_poly3]),
-                          b_ub=np.concatenate([uu[work], b_poly]),
-                          bounds=[(None, None)] * 3, method="highs",
-                          options={"primal_feasibility_tolerance": 1e-10,
-                                   "dual_feasibility_tolerance": 1e-10})
-            n_programs += 1
-            if not res.success:
-                raise ConvergenceError(
-                    f"linear program failed at node {v}: {res.message}",
-                    residual=float(todo.size))
-            p, q, alpha = res.x
-            plane = p * wt + q * ws + alpha
-            excess = plane - uu
-            if excess.max() <= feas_tol:
-                break
-            top = np.argpartition(excess, -64)[-64:]
-            grown = np.unique(np.concatenate(
-                [work, top[excess[top] > feas_tol]]))
-            if grown.size == work.size:
-                # solver tolerance floor reached; shift-down below makes
-                # the plane feasible
-                break
-            work = grown
-        alpha -= max(0.0, float(excess.max()))
-        plane = p * wt + q * ws + alpha
-        carry = np.flatnonzero(excess >= -1e-7 * scale)
-        if carry.size > 384:
-            carry = carry[np.argsort(excess[carry])[-384:]]
-        env[v] = plane[v]
-        resolved[v] = True
-        # propagate across the face spanned by the plane's contact set
-        touch = np.flatnonzero(uu - plane <= 1e-9 * scale)
-        if touch.size >= 3:
-            pts_t, pts_s = wt[touch], ws[touch]
-            order = np.lexsort((pts_s, pts_t))
-            t_sorted, s_sorted = pts_t[order], pts_s[order]
-            lower = _monotone_chain_lower(t_sorted, s_sorted)
-            upper = _monotone_chain_lower(t_sorted, -s_sorted)
-            verts_idx = np.concatenate([lower, upper[::-1][1:-1]])
-            verts = np.stack([t_sorted[verts_idx], s_sorted[verts_idx]], axis=1)
-            if verts.shape[0] >= 3:
-                inface = _points_in_polygon(wt, ws, verts) & ~resolved
-                env[inface] = plane[inface]
-                resolved[inface] = True
+    cand = [poly]
+    if poly.shape[0] >= 3:
+        # a segment or point P has no interior, so (b) and (c) suffice
+        grad, _ = _lower_facet_planes(nodes, uu)
+        cand.append(grad[_in_polygon(grad, poly)])
+        edges = zip(poly, np.roll(poly, -1, axis=0))
+    else:
+        edges = zip(poly[:-1], poly[1:])
+    cand += [_edge_kinks(p, q, nodes, uu) for p, q in edges]
+    cand = np.unique(np.concatenate(cand), axis=0)
+    ustar = _max_of_planes(nodes, -uu, cand)
+    env = _max_of_planes(cand, -ustar, nodes)
     return w.with_values(np.minimum(env, uu).reshape(w.values.shape))
 
 
@@ -254,21 +123,11 @@ def hull_envelope_2d(w: SampledWeight2D) -> np.ndarray:
     Gradient constraints are ignored, so this is an oracle for inputs whose
     envelope gradients stay inside the polytope.
     """
-    wt, ws, uu = _node_arrays(w)
-    pts = np.stack([wt, ws, uu], axis=1)
-    hull = ConvexHull(pts, qhull_options="Qt")
-    eqs = hull.equations
-    lower = eqs[eqs[:, 2] < -1e-12]
+    nodes, uu = _node_arrays(w)
+    grad, offset = _lower_facet_planes(nodes, uu)
     # each lower facet plane supports the hull from below, so the hull
     # function is the max of the facet planes
-    out = np.full(uu.size, -np.inf)
-    chunk = max(1, int(2**23 // uu.size))
-    for k in range(0, lower.shape[0], chunk):
-        block = lower[k:k + chunk]
-        planes = -(block[:, 0][:, None] * wt[None, :]
-                   + block[:, 1][:, None] * ws[None, :]
-                   + block[:, 3][:, None]) / block[:, 2][:, None]
-        out = np.maximum(out, planes.max(axis=0))
+    out = _max_of_planes(grad, offset, nodes)
     return np.minimum(out, uu).reshape(w.values.shape)
 
 

@@ -21,17 +21,6 @@ class NoEnvelopeError(EnvlabError):
     """The competitor class for an envelope is empty."""
 
 
-class ConvergenceError(EnvlabError):
-    """An iterative computation exhausted its budget.
-
-    Carries the residual reached when the budget ran out.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class PrecisionError(EnvlabError):
     """A quadrature did not reach the requested accuracy.
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .envelope2d import grid_line_defects
 from .errors import EnvlabError, GluingError, InvalidInputError, InvalidParameterError
@@ -105,10 +106,9 @@ class GlueRegion:
 def _merged_polytope(a, b):
     pts = np.vstack([a, b])
     try:
-        from scipy.spatial import ConvexHull
         hull = ConvexHull(pts)
         return pts[hull.vertices]
-    except Exception:
+    except QhullError:  # collinear or coincident vertices
         return pts[np.unique(pts.round(12), axis=0, return_index=True)[1]]
 
 

@@ -113,6 +113,16 @@ def test_glue_grid_mismatch():
                      RegularizedMaxKernel(0.2))
 
 
+def test_glue_merges_collinear_segment_polytopes():
+    outer, inner, tau, s = _weights2d()
+    outer = SampledWeight2D(tau, s, outer.values, [[2.0, 0.0], [2.0, 1.0]])
+    inner = SampledWeight2D(tau, s, inner.values, [[2.0, 0.5], [2.0, 2.0]])
+    glued = glue_weights(outer, inner, GlueRegion(-1.0, 1.0),
+                         RegularizedMaxKernel(0.2))
+    assert sorted(map(tuple, glued.slope_polytope)) == \
+        [(2.0, 0.0), (2.0, 0.5), (2.0, 1.0), (2.0, 2.0)]
+
+
 def test_glue_translation_covariance():
     outer, inner, tau, s = _weights2d()
     region = GlueRegion(-1.0, 1.0)
