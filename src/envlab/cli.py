@@ -52,6 +52,11 @@ ANCHORS = {
 }
 
 
+# every tolerance a command reads; --tol accepts no other name
+_TOLERANCE_NAMES = ("envelope", "family", "fiber", "fiber_rel", "sandwich",
+                    "parseval")
+
+
 @dataclass
 class RunManifest:
     """Everything one batch invocation depends on."""
@@ -68,6 +73,9 @@ class RunManifest:
         if self.command not in allowed:
             raise ValueError(f"unknown command {self.command!r}")
         for name, tol in self.tolerances.items():
+            if name not in _TOLERANCE_NAMES:
+                raise ValueError(f"unknown tolerance {name!r}; allowed: "
+                                 + ", ".join(_TOLERANCE_NAMES))
             if not tol > 0:
                 raise ValueError(f"tolerance {name} must be positive, got {tol}")
 

@@ -14,6 +14,11 @@ below u whose derivative stays in I.  Two independent routes are provided:
   by a monotone chain with cross-product predicates and then clamps the
   hull slopes to I.  It serves as the independent oracle.
 
+Both stacks convert their inputs to lists of Python floats before the loop:
+indexing a list is several times cheaper than pulling numpy scalars one at
+a time, and a Python float is an IEEE double, so every comparison and
+division gives the same bits as numpy float64 arithmetic.
+
 Affine extrapolation tails never cut below either construction as long as
 I sits inside [slope_left, slope_right], which is enforced.
 """
@@ -79,9 +84,11 @@ def _upper_line_envelope(slopes, intercepts):
     intercept.  Returns (kept indices, crossing points between consecutive
     kept lines).
     """
+    slopes = np.asarray(slopes, dtype=float).tolist()
+    intercepts = np.asarray(intercepts, dtype=float).tolist()
     keep: list[int] = []
     cross: list[float] = []
-    for i in range(slopes.size):
+    for i in range(len(slopes)):
         while keep:
             j = keep[-1]
             if slopes[i] == slopes[j]:
@@ -143,8 +150,10 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
 
 def _monotone_chain_lower(s, u):
     """Indices of the lower convex hull of the graph, collinear points kept."""
+    s = np.asarray(s, dtype=float).tolist()
+    u = np.asarray(u, dtype=float).tolist()
     hull: list[int] = []
-    for i in range(s.size):
+    for i in range(len(s)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
             # pop only on a strictly concave turn, so affine runs survive

@@ -90,36 +90,12 @@ def fiber_volume(m: FiberMeasure, tol: float = 1e-10) -> float:
     return value
 
 
-# Lanczos approximation, g = 7, 9 coefficients; relative error well below
-# 1e-12 on the positive axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma(x: float) -> float:
-    """Gamma function on the positive axis (Lanczos approximation)."""
+    """Gamma function on the positive axis (:func:`math.gamma`)."""
     x = float(x)
     if not (x > 0.0 and np.isfinite(x)):
         raise InvalidParameterError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument away from the pole
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def oracle_normalization(use_quadrature: bool = False) -> float:

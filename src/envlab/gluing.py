@@ -12,6 +12,17 @@ weight: wherever one chart's weight dominates by 2 eps the splice returns
 it bit for bit, and the transition zone stays convex because M_eps is
 convex and monotone in each slot.
 
+With the bump sampled at Gauss nodes h_i with weights w_i, the identity
+max(d + eps h_i, eps h_j) = eps h_j + (d + eps (h_i - h_j))_+ turns the
+double sum into
+
+    M_eps(x, y) = y + eps sum_j w_j h_j + E[(d + eps Z)_+],   d = x - y,
+
+where Z = h_i - h_j takes its nodes^2 values with weights w_i w_j.  The
+atoms of Z are sorted once per node count and their tail sums of p and
+p z cached, so E[(d + eps Z)_+] = d P_tail + eps Z_tail over the atoms
+with z > -d / eps costs one binary search per point.
+
 The demo glues an ambient weight of the form (convex in s) + k tau, the
 log-norm term of a section cutting out a degree -k divisor at tau -> -inf,
 against the fibered envelope weight built by the family module.
@@ -64,13 +75,33 @@ def _mollifier_table(nodes: int):
     return h, w
 
 
+@lru_cache(maxsize=8)
+def _difference_atoms(nodes: int):
+    """Atoms of Z = h_i - h_j (weights w_i w_j) sorted, with tail sums.
+
+    Returns ``(z, p_tail, zp_tail, mean_h)``: ``z`` ascending, and
+    ``p_tail[k]``, ``zp_tail[k]`` the sums of p and p z over atoms k, k+1,
+    ...; both tails end in a zero for the empty tail.  ``mean_h`` is
+    sum_j w_j h_j.  The arrays are read-only because the cache shares them.
+    """
+    h, w = _mollifier_table(nodes)
+    z = (h[:, None] - h[None, :]).ravel()
+    p = (w[:, None] * w[None, :]).ravel()
+    order = np.argsort(z, kind="stable")
+    z, p = z[order], p[order]
+    p_tail = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+    zp_tail = np.append(np.cumsum((p * z)[::-1])[::-1], 0.0)
+    for a in (z, p_tail, zp_tail):
+        a.flags.writeable = False
+    return z, p_tail, zp_tail, float(w @ h)
+
+
 def regularized_max(k: RegularizedMaxKernel, x, y):
     """Smoothed maximum M_eps(x, y); accepts scalars or same-shape arrays."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     scalar = x.ndim == 0 and y.ndim == 0
     x, y = np.broadcast_arrays(x, y)
-    h, w = _mollifier_table(k.nodes)
     eps = k.epsilon
     # translation equivariance reduces to a one-variable profile in x - y
     delta = (x - y).ravel()
@@ -79,12 +110,12 @@ def regularized_max(k: RegularizedMaxKernel, x, y):
     # direct branch keeps that clause bit-exact
     mix = np.flatnonzero(np.abs(delta) < 2.0 * eps)
     if mix.size:
+        z, p_tail, zp_tail, mean_h = _difference_atoms(k.nodes)
         d = delta[mix]
-        acc = np.zeros_like(d)
-        for hi, wi in zip(h, w):
-            acc += wi * (w[None, :] * np.maximum(d[:, None] + eps * hi,
-                                                 eps * h[None, :])).sum(axis=1)
-        out[mix] = y.ravel()[mix] + acc
+        # the atoms with d + eps z > 0 are the tail past -d / eps
+        tail = np.searchsorted(z, -d / eps, side="right")
+        out[mix] = y.ravel()[mix] + (d * p_tail[tail]
+                                     + eps * (mean_h + zp_tail[tail]))
     out = out.reshape(x.shape)
     return float(out) if scalar else out
 
@@ -149,17 +180,26 @@ def _bump(s, center=1.0, height=0.75, width=1.0):
     return height * np.exp(-((s - center) / width) ** 2 / 2.0)
 
 
+_DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
+
+
 def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
     """End-to-end gluing run on the ruled-surface model.
 
     ``config`` keys: k (positive twist of the ambient log-norm term),
-    d_A, d_L (divisor degrees), grid (points per axis), epsilon.
+    d_A, d_L (divisor degrees), grid (points per axis), epsilon; any
+    other key fails the config stage.
     Returns the verification report; when ``out_dir`` is given the glued,
     outer, and inner weights are exported as CSV and gnuplot data next to
     the report JSON.
     """
     stage = "config"
     try:
+        unknown = sorted(set(config) - set(_DEMO_CONFIG_KEYS))
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown config keys {unknown}; allowed: "
+                + ", ".join(_DEMO_CONFIG_KEYS))
         k_twist = int(config["k"])
         d_A = int(config["d_A"])
         d_L = int(config["d_L"])

@@ -48,6 +48,25 @@ def test_bad_tolerance_flag(tmp_path):
     assert code == 2
 
 
+def test_unknown_tolerance_name(tmp_path, capsys):
+    code = main(["family", "--out", str(tmp_path), "--tol", "familly=1e-9"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "familly" in err
+    assert "envelope, family, fiber, fiber_rel, sandwich, parseval" in err
+    assert not os.listdir(tmp_path)
+
+
+def test_glue_demo_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grdi": 48}))
+    code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grdi" in err and "k, d_A, d_L, grid, epsilon" in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 def test_fiber_check_oracle_flag(tmp_path):
     code = main(["fiber-check", "--oracle-K", "--out", str(tmp_path)])
     assert code == 0

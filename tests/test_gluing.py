@@ -38,6 +38,41 @@ def test_contract_clauses(rng):
             assert m == pytest.approx(max(x, y), abs=1e-10)
 
 
+def _double_gauss_sum(nodes, eps, x, y):
+    """The mollified max as the plain double sum over the Gauss nodes."""
+    h, wq = np.polynomial.legendre.leggauss(nodes)
+    w = wq * np.exp(-1.0 / (1.0 - h * h))
+    w /= w.sum()
+    d = x - y
+    acc = np.zeros_like(d)
+    for hi, wi in zip(h, w):
+        acc += wi * (w[None, :] * np.maximum(d[:, None] + eps * hi,
+                                             eps * h[None, :])).sum(axis=1)
+    return np.where(np.abs(d) < 2.0 * eps, y + acc, np.maximum(x, y))
+
+
+@pytest.mark.parametrize("nodes", [4, 5, 48])
+@pytest.mark.parametrize("eps", [1e-3, 0.25, 3.0])
+def test_matches_double_gauss_sum(nodes, eps):
+    rng = np.random.default_rng(nodes)
+    h, _ = np.polynomial.legendre.leggauss(nodes)
+    two = np.nextafter(2.0 * eps, 0.0)
+    # y = 0 keeps x - y equal to the chosen delta: atom ties
+    # d + eps (h_i - h_j) = 0, d = 0 and |d| on either side of 2 eps
+    special = np.concatenate([(eps * (h[None, :] - h[:, None])).ravel(),
+                              [0.0, two, -two, 2.0 * eps, -2.0 * eps]])
+    y_rand = rng.uniform(-10.0 + 2.5 * eps, 10.0 - 2.5 * eps, 400)
+    y = np.concatenate([y_rand, np.zeros(special.size)])
+    x = np.concatenate([y_rand + rng.uniform(-2.5 * eps, 2.5 * eps, 400),
+                        special])
+    got = regularized_max(RegularizedMaxKernel(eps, nodes=nodes), x, y)
+    assert np.abs(got - _double_gauss_sum(nodes, eps, x, y)).max() <= 1e-13
+    far = np.abs(x - y) >= 2.0 * eps
+    assert np.array_equal(got[far], np.maximum(x, y)[far])
+    assert isinstance(regularized_max(RegularizedMaxKernel(eps, nodes=nodes),
+                                      float(x[0]), float(y[0])), float)
+
+
 def test_diagonal_strictly_above():
     k = RegularizedMaxKernel(1.0)
     m = regularized_max(k, 2.0, 2.0)
