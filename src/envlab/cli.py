@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fiber
 from .envelope import equilibrium_envelope, hull_envelope
-from .errors import EnvlabError
+from .errors import EnvlabError, InvalidInputError
 from .family import (ModelBundlePair, check_monotone_family,
                      check_right_continuity, family_curve, monotone_t_grid)
 from .gluing import RegularizedMaxKernel, hirzebruch_demo, regularized_max
@@ -29,7 +29,7 @@ from .report import VerificationReport
 from .sections import (ToricSection, check_sandwich, coefficient_inequality,
                        comparison_constants, psi1_approximant, unit_boxes)
 from .weights import (SampledWeight, SampledWeight2D, SlopeInterval,
-                      load_weight_csv, save_weight_csv)
+                      _write_blocks, load_weight_csv, save_weight_csv)
 
 __all__ = ["main", "run", "RunManifest", "export_plot_data",
            "load_plot_data", "export_report", "export_weight2d_artifacts",
@@ -106,10 +106,11 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if isinstance(w, SampledWeight2D):
             fh.write("# tau s phi\n")
-            for i, tau in enumerate(w.grid_tau):
-                for s, v in zip(w.grid_s, w.values[i]):
-                    fh.write(f"{tau:.17g} {s:.17g} {v:.17g}\n")
-                fh.write("\n")
+            s_text = [f"{s:.17g}" for s in w.grid_s.tolist()]
+            for tau, row in zip(w.grid_tau.tolist(), w.values):
+                head = f"{tau:.17g} "
+                fh.write("".join(f"{head}{s} {v:.17g}\n"
+                                 for s, v in zip(s_text, row.tolist())) + "\n")
             return path
         if envelope is None:
             envelope = equilibrium_envelope(
@@ -118,8 +119,10 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
             d = max(int(round(w.slope_right)), 0)
             psi = psi1_approximant(w, d, 64) if d > 0 else envelope
         fh.write("# s u u_e psi\n")
-        for s, u, ue, p in zip(w.grid, w.values, envelope.values, psi.values):
-            fh.write(f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n")
+        rows = zip(w.grid.tolist(), w.values.tolist(),
+                   envelope.values.tolist(), psi.values.tolist())
+        _write_blocks(fh, (f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
+                           for s, u, ue, p in rows))
     return path
 
 
@@ -293,7 +296,11 @@ def _cmd_glue(manifest: RunManifest):
     config = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
     if "config" in manifest.inputs:
         with open(manifest.inputs["config"], "r", encoding="utf-8") as fh:
-            config.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise InvalidInputError(
+                f"config must be a JSON object, got {type(loaded).__name__}")
+        config.update(loaded)
     rep = hirzebruch_demo(config, out_dir=manifest.out_dir)
     export_report(rep, manifest.out_dir, rep.check,
                   seed=manifest.seed, wall_time=time.time() - t0)

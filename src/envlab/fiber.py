@@ -19,6 +19,11 @@ t = 0 moment has an elementary antiderivative, which pins K = 2; the
 reference derivation this artifact follows states K = 4 instead, and
 :func:`bergman_fiber_integral` reports are expected to surface both values
 (see :func:`oracle_normalization` and the fiber-check report in the CLI).
+
+The adaptive quadratures call their integrands once per node, so the
+integrands run on Python floats (a, b converted once); the arithmetic is
+the same IEEE double arithmetic as :meth:`FiberMeasure.density`, which
+stays vectorized for array callers.
 """
 
 from __future__ import annotations
@@ -66,6 +71,16 @@ class FiberMeasure:
         return 2.0 * r * self.a * self.b / (r * r * self.a + self.b) ** 2
 
 
+def _scalar_density(m: FiberMeasure):
+    """``m.density`` for one Python float r, on Python floats (quad integrands)."""
+    a, b = float(m.a), float(m.b)
+
+    def density(r):
+        return 2.0 * r * a * b / (r * r * a + b) ** 2
+
+    return density
+
+
 def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
     """Adaptive quadrature over (0, inf) via the substitution r = tan(pi theta / 2)."""
 
@@ -82,7 +97,7 @@ def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
 
 def fiber_volume(m: FiberMeasure, tol: float = 1e-10) -> float:
     """Total mass of the fiber density; equals 1 by construction."""
-    value, err = _integrate_halfline(lambda r: float(m.density(r)))
+    value, err = _integrate_halfline(_scalar_density(m))
     if err > tol:
         raise PrecisionError(
             f"fiber volume quadrature error {err:.2e} exceeds {tol:.1e}",
@@ -107,9 +122,8 @@ def oracle_normalization(use_quadrature: bool = False) -> float:
     numerically instead of using the closed form.
     """
     if use_quadrature:
-        m = FiberMeasure(1.0, 1.0)
-        i0, err = _integrate_halfline(
-            lambda r: float(m.density(r)) / (r * r + 1.0))
+        density = _scalar_density(FiberMeasure(1.0, 1.0))
+        i0, err = _integrate_halfline(lambda r: density(r) / (r * r + 1.0))
         if err > 1e-10:
             raise PrecisionError("normalization quadrature did not converge",
                                  estimate=i0)
@@ -124,18 +138,17 @@ def bergman_fiber_integral(m: FiberMeasure, t: float, tol: float = 1e-10) -> flo
     if not (0.0 <= t <= 1.0):
         raise InvalidParameterError(f"t must lie in [0, 1], got {t}")
 
+    a, b = float(m.a), float(m.b)
+    density = _scalar_density(m)
+
     def integrand(r):
-        return r ** (2.0 * t) / (r * r * m.a + m.b) * float(m.density(r))
+        return r ** (2.0 * t) / (r * r * a + b) * density(r)
 
     if t < 0.25:
         # split at the density's mode to help the subdivision near r = 0
-        r0 = math.sqrt(m.b / m.a)
-
-        def g(r):
-            return integrand(r)
-
-        v1, e1 = quad(g, 0.0, r0, epsabs=1e-13, epsrel=1e-13, limit=200)
-        v2, e2 = _integrate_halfline(lambda r: g(r + r0))
+        r0 = math.sqrt(b / a)
+        v1, e1 = quad(integrand, 0.0, r0, epsabs=1e-13, epsrel=1e-13, limit=200)
+        v2, e2 = _integrate_halfline(lambda r: integrand(r + r0))
         value, err = v1 + v2, e1 + e2
     else:
         value, err = _integrate_halfline(integrand)
@@ -161,12 +174,15 @@ def holder_fiber_chain(m: FiberMeasure, t: float, m_pow: int,
         raise InvalidParameterError(
             f"t must be ell/{m_pow} for an integer 0 <= ell <= {m_pow}, got {t}")
 
-    def g(r):
-        return r ** (2.0 * t) / (r * r * m.a + m.b)
+    a, b = float(m.a), float(m.b)
+    density = _scalar_density(m)
 
-    lhs, e1 = _integrate_halfline(lambda r: g(r) ** m_pow * float(m.density(r)))
-    mean, e2 = _integrate_halfline(lambda r: g(r) * float(m.density(r)))
-    mass, e3 = _integrate_halfline(lambda r: float(m.density(r)))
+    def g(r):
+        return r ** (2.0 * t) / (r * r * a + b)
+
+    lhs, e1 = _integrate_halfline(lambda r: g(r) ** m_pow * density(r))
+    mean, e2 = _integrate_halfline(lambda r: g(r) * density(r))
+    mass, e3 = _integrate_halfline(density)
     rhs = mean ** m_pow * mass ** (-(m_pow - 1))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return VerificationReport(

@@ -183,6 +183,17 @@ def _bump(s, center=1.0, height=0.75, width=1.0):
 _DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
 
 
+def _config_number(config, key, convert, default=None):
+    """``convert(config[key])`` as a typed config error; ``default`` (when
+    given) stands in for an absent key."""
+    value = config[key] if default is None else config.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(
+            f"config {key} must be a finite number, got {value!r}") from exc
+
+
 def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
     """End-to-end gluing run on the ruled-surface model.
 
@@ -200,13 +211,15 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
             raise InvalidParameterError(
                 f"unknown config keys {unknown}; allowed: "
                 + ", ".join(_DEMO_CONFIG_KEYS))
-        k_twist = int(config["k"])
-        d_A = int(config["d_A"])
-        d_L = int(config["d_L"])
-        n = int(config.get("grid", 128))
-        eps = float(config.get("epsilon", 0.25))
+        k_twist = _config_number(config, "k", int)
+        d_A = _config_number(config, "d_A", int)
+        d_L = _config_number(config, "d_L", int)
+        n = _config_number(config, "grid", int, 128)
+        eps = _config_number(config, "epsilon", float, 0.25)
         if k_twist < 1:
             raise InvalidParameterError(f"twist k must be >= 1, got {k_twist}")
+        if n < 2:
+            raise InvalidParameterError(f"grid must be >= 2, got {n}")
 
         stage = "pair"
         s_grid = np.linspace(-20.0, 20.0, n)
@@ -234,6 +247,11 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
         region = GlueRegion(-2.0, 0.0)
         annulus = (tau_grid > region.tau_boundary_inner) \
             & (tau_grid < region.tau_boundary_outer)
+        if not annulus.any():
+            raise InvalidParameterError(
+                f"glue annulus ({region.tau_boundary_inner}, "
+                f"{region.tau_boundary_outer}) holds no tau node at grid={n}; "
+                "raise grid")
         margin = (outer.values[annulus] - inner.values[annulus]).min()
         shift = max(0.0, 2.0 * eps - margin + 1e-9)
         outer = SampledWeight2D(tau_grid, s_grid, outer.values + shift,

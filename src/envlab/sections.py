@@ -18,7 +18,11 @@ For sections F(z, x) = sum_{l,k} c_{lk} z^l x^k on the model total space,
 circle averaging in the fiber angle is a Parseval identity: the weighted
 L2 mass of F splits into the masses of its fiber-degree components, so
 each component mass is bounded by the total.  Both sides are integrated
-numerically, the total through literal angle averaging.
+numerically, the total through literal angle averaging: F itself is
+evaluated at every node of the full (theta, phi) angle grid, one complex
+matrix product (fiber degrees x (phi, s) nodes) per fiber angle theta,
+and |F|^2 is averaged from those values, so the total never shares the
+coefficient algebra of the component side.
 """
 
 from __future__ import annotations
@@ -254,8 +258,9 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     phi_inf = log(r^2 e^{phi_A} + e^{phi_L}): the per-component masses use
     the coefficient formula after circle averaging, the total averages
     |F|^2 over both angles by trapezoid (exact for polynomial sections)
-    on the same radial/base nodes.  Verifies every component <= total and
-    that the components sum to the total.
+    on the same radial/base nodes, with F evaluated at every angle node.
+    Verifies every component <= total and that the components sum to the
+    total.
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
@@ -279,25 +284,30 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
             avg += abs(c) ** 2 * np.exp(k * s_nodes)
         terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
 
-    # literal double-angle average of |F|^2 on the same nodes
+    # literal double-angle average of |F|^2 on the same nodes: F at every
+    # (theta, phi, r, s) node, one complex product per fiber angle theta
     k_max = max(k for (_, k) in section.coefficients)
     n_theta = 2 * m + 3
     n_phi = 2 * k_max + 3
+    n_s = s_nodes.size
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    base = {}
-    for l, coeffs in by_l.items():
-        bl = np.zeros((s_nodes.size, n_phi), dtype=complex)
-        for k, c in coeffs.items():
-            bl += c * np.exp(k * s_nodes / 2.0)[:, None] * np.exp(1j * k * phi)[None, :]
-        base[l] = bl
-    avg_sq = np.zeros((r.size, s_nodes.size))
+    degrees = np.array(sorted(by_l))
+    # base[l, phi, s] = sum_k c_lk e^{ks/2} e^{ik phi}, flattened phi-major
+    base = np.zeros((degrees.size, n_phi, n_s), dtype=complex)
+    for i, l in enumerate(degrees.tolist()):
+        for k, c in by_l[l].items():
+            base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
+    base = base.reshape(degrees.size, n_phi * n_s)
+    radial = r[:, None] ** degrees[None, :]
+    # columns (re^2, im^2) per s node, summed over theta and phi
+    sq_sum = np.zeros((r.size, 2 * n_s))
     for th in theta:
-        f_th = np.zeros((r.size, s_nodes.size, n_phi), dtype=complex)
-        for l, bl in base.items():
-            f_th += (r ** l * np.exp(1j * l * th))[:, None, None] * bl[None, :, :]
-        avg_sq += (np.abs(f_th) ** 2).mean(axis=2)
-    avg_sq /= n_theta
+        sq = ((radial * np.exp(1j * th * degrees)[None, :]) @ base).view(float)
+        np.multiply(sq, sq, out=sq)
+        for j in range(n_phi):
+            sq_sum += sq[:, 2 * n_s * j:2 * n_s * (j + 1)]
+    avg_sq = (sq_sum[:, 0::2] + sq_sum[:, 1::2]) / (n_theta * n_phi)
     total = float((avg_sq * kernel).sum())
 
     scale = max(total, 1e-300)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -173,12 +174,22 @@ class SampledWeight2D:
 # ---------------------------------------------------------------------------
 # CSV interchange: header `s,u`, slopes in a JSON sidecar `<path>.json`.
 
+_BLOCK_LINES = 4096
+
+
+def _write_blocks(fh, lines) -> None:
+    """Write text lines joined into blocks of at most ``_BLOCK_LINES``."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, _BLOCK_LINES)):
+        fh.write(block)
+
+
 def save_weight_csv(w: SampledWeight, path) -> None:
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,u\n")
-        for s, u in zip(w.grid, w.values):
-            fh.write(f"{float(s)!r},{float(u)!r}\n")
+        _write_blocks(fh, (f"{s!r},{u!r}\n"
+                           for s, u in zip(w.grid.tolist(), w.values.tolist())))
     sidecar = {"slope_left": w.slope_left, "slope_right": w.slope_right}
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -205,8 +216,10 @@ def load_weight_csv(path) -> SampledWeight:
 def save_weight2d_csv(w: SampledWeight2D, path) -> None:
     """Export `tau,s,phi` rows, tau-major, deterministic ordering."""
     path = str(path)
+    s_text = [repr(s) for s in w.grid_s.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("tau,s,phi\n")
-        for i, tau in enumerate(w.grid_tau):
-            for j, s in enumerate(w.grid_s):
-                fh.write(f"{float(tau)!r},{float(s)!r},{float(w.values[i, j])!r}\n")
+        for tau, row in zip(w.grid_tau.tolist(), w.values):
+            head = f"{tau!r},"
+            fh.write("".join(f"{head}{s},{v!r}\n"
+                             for s, v in zip(s_text, row.tolist())))

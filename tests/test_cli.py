@@ -134,3 +134,52 @@ def test_plot_data_2d_blocks(tmp_path):
     cols = load_plot_data(path)
     assert cols.shape == (12, 3)
     assert np.abs(cols[:, 2] - w.values.ravel()).max() == 0.0
+
+
+AWKWARD = [-0.0, 5e-324, 0.1, 1 / 3, 1e300, -2.5e-17]
+
+
+def test_plot_data_matches_per_element_format(tmp_path):
+    # reference: one f-string per element on numpy scalars
+    grid = np.concatenate([np.linspace(-3.0, -1.0, 5000),
+                           np.sort(np.array(AWKWARD))])
+    cols = [np.resize(np.roll(AWKWARD, i), grid.size) for i in range(3)]
+    w, env, psi = (SampledWeight(grid, c, 0.0, 1.0) for c in cols)
+    expected = "# s u u_e psi\n" + "".join(
+        f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
+        for s, u, ue, p in zip(w.grid, w.values, env.values, psi.values))
+    export_plot_data(w, tmp_path / "w.dat", envelope=env, psi=psi)
+    assert (tmp_path / "w.dat").read_text() == expected
+
+    axis = np.sort(np.array(AWKWARD))
+    w2 = SampledWeight2D(axis, axis, np.array([np.roll(AWKWARD, i)
+                                               for i in range(axis.size)]))
+    expected = "# tau s phi\n"
+    for i, tau in enumerate(w2.grid_tau):
+        for s, v in zip(w2.grid_s, w2.values[i]):
+            expected += f"{tau:.17g} {s:.17g} {v:.17g}\n"
+        expected += "\n"
+    export_plot_data(w2, tmp_path / "w2.dat")
+    assert (tmp_path / "w2.dat").read_text() == expected
+    assert "-0 " in expected and "4.9406564584124654e-324" in expected
+
+
+@pytest.mark.parametrize("config, stage, message", [
+    ([1, 2], None, "config must be a JSON object"),
+    ({"k": None}, "config", "config k must be a finite number"),
+    ({"epsilon": "wide"}, "config", "config epsilon must be a finite number"),
+    ({"grid": 2}, "normalize", "grid=2"),
+    ({"grid": -1}, "config", "grid must be >= 2"),
+], ids=["not-an-object", "null-value", "non-numeric-value", "empty-annulus",
+        "negative-grid"])
+def test_glue_demo_bad_config(tmp_path, capsys, config, stage, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if stage is not None:
+        assert f"stage '{stage}'" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]

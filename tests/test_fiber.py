@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gamma as scipy_gamma
 
 from envlab import (FiberMeasure, InvalidInputError, InvalidParameterError,
                     STATED_NORMALIZATION,
                     bergman_fiber_integral, fiber_volume, gamma,
                     holder_fiber_chain, oracle_normalization)
+from envlab.fiber import _integrate_halfline, _scalar_density
 
 
 def test_fiber_measure_validation():
@@ -71,3 +73,39 @@ def test_holder_chain(rng):
         a, b = rng.uniform(0.5, 5.0, size=2)
         rep = holder_fiber_chain(FiberMeasure(a, b), 0.5, 2)
         assert rep.passed
+
+
+def test_python_float_integrands_match_numpy_density():
+    # test-local integrands that call the vectorized density per node
+    def volume(m):
+        return _integrate_halfline(lambda r: float(m.density(r)))[0]
+
+    def moment(m, t):
+        def integrand(r):
+            return r ** (2.0 * t) / (r * r * m.a + m.b) * float(m.density(r))
+        if t >= 0.25:
+            return -math.log(_integrate_halfline(integrand)[0])
+        r0 = math.sqrt(m.b / m.a)
+        v1 = quad(integrand, 0.0, r0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        v2 = _integrate_halfline(lambda r: integrand(r + r0))[0]
+        return -math.log(v1 + v2)
+
+    def chain(m, t, p):
+        def g(r):
+            return r ** (2.0 * t) / (r * r * m.a + m.b)
+        lhs = _integrate_halfline(lambda r: g(r) ** p * float(m.density(r)))[0]
+        mean = _integrate_halfline(lambda r: g(r) * float(m.density(r)))[0]
+        return lhs, mean ** p * volume(m) ** (-(p - 1))
+
+    rng = np.random.default_rng(4242)
+    for _ in range(6):
+        a, b = rng.uniform(0.1, 10.0, size=2)
+        m = FiberMeasure(a, b)
+        density = _scalar_density(m)
+        for r in rng.exponential(3.0, 2000).tolist():
+            assert density(r) == float(m.density(r))
+        assert fiber_volume(m) == volume(m)
+        for t in (0.0, 0.125, 0.25, 0.6, 1.0):
+            assert bergman_fiber_integral(m, t) == moment(m, t)
+        rep = holder_fiber_chain(m, 0.5, 2)
+        assert (rep.details["lhs"], rep.details["rhs"]) == chain(m, 0.5, 2)

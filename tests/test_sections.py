@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
                     equilibrium_envelope, legendre_values, load_section_json,
                     psi1_approximant, psi2_approximant, save_section_json,
                     unit_boxes)
+from envlab.measures import DEFAULT_BASE_MEASURE
+from envlab.sections import _fiber_quadrature, _segment_nodes
 from conftest import bumpy_model_weight, model_pair
 
 
@@ -164,3 +168,67 @@ def test_scaling_shifts_log_norm(pair):
     # |lam F|^2 integrals scale by lam^2 exactly
     assert r2.details["total"] == pytest.approx(lam ** 2 * r1.details["total"],
                                                 rel=1e-12)
+
+
+def _literal_average_oracle(section, pair):
+    """Terms and total by the plain theta/l broadcast loop over the angle grid.
+
+    Same nodes and kernel as ``coefficient_inequality``; the total averages
+    np.abs(F)**2 over phi, then over theta, one fiber degree at a time.
+    """
+    m = section.m
+    s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
+    meas = DEFAULT_BASE_MEASURE.density(s_nodes) * s_wt
+    a = np.exp(pair.phi_A(s_nodes))
+    b = np.exp(pair.phi_L(s_nodes))
+    r, r_wt = _fiber_quadrature()
+    core = (r[:, None] ** 2 * a[None, :] + b[None, :])
+    kernel = core ** (-(m + 2.0)) * (2.0 * r[:, None] * a[None, :] * b[None, :])
+    kernel *= r_wt[:, None] * meas[None, :]
+    by_l = {}
+    for (l, k), c in section.coefficients.items():
+        by_l.setdefault(l, {})[k] = c
+    terms = {}
+    for l, coeffs in sorted(by_l.items()):
+        avg = np.zeros(s_nodes.size)
+        for k, c in coeffs.items():
+            avg += abs(c) ** 2 * np.exp(k * s_nodes)
+        terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
+    k_max = max(k for (_, k) in section.coefficients)
+    n_theta, n_phi = 2 * m + 3, 2 * k_max + 3
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    base = {}
+    for l, coeffs in by_l.items():
+        bl = np.zeros((s_nodes.size, n_phi), dtype=complex)
+        for k, c in coeffs.items():
+            bl += c * np.exp(k * s_nodes / 2.0)[:, None] * np.exp(1j * k * phi)[None, :]
+        base[l] = bl
+    avg_sq = np.zeros((r.size, s_nodes.size))
+    for th in theta:
+        f_th = np.zeros((r.size, s_nodes.size, n_phi), dtype=complex)
+        for l, bl in base.items():
+            f_th += (r ** l * np.exp(1j * l * th))[:, None, None] * bl[None, :, :]
+        avg_sq += (np.abs(f_th) ** 2).mean(axis=2)
+    avg_sq /= n_theta
+    return {str(l): v for l, v in terms.items()}, float((avg_sq * kernel).sum())
+
+
+@pytest.mark.parametrize("k_max", [0, 3])
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_literal_average_matches_broadcast_loop(pair, m, k_max):
+    rng = np.random.default_rng(1000 * m + k_max)
+    draw = lambda: complex(rng.normal(), rng.normal())
+    single = {(int(rng.integers(0, m + 1)), k_max): draw()}
+    every = {(l, int(rng.integers(0, k_max + 1))): draw() for l in range(m + 1)}
+    every[(m, k_max)] = draw()
+    mixed = {(int(rng.integers(0, m + 1)), int(rng.integers(0, k_max + 1))): draw()
+             for _ in range(6)}
+    mixed[(0, k_max)] = draw()
+    for coeffs in (single, every, mixed):
+        sec = ToricSection(m, coeffs)
+        rep = coefficient_inequality(sec, pair)
+        terms, total = _literal_average_oracle(sec, pair)
+        assert rep.details["terms"] == terms
+        assert abs(rep.details["total"] - total) <= 1e-13 * total
+        assert rep.grid["angles"] == [2 * m + 3, 2 * k_max + 3]

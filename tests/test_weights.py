@@ -95,3 +95,27 @@ def test_weight2d_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tau,s,phi"
     assert len(lines) == 1 + 6
+
+
+AWKWARD = [-0.0, 5e-324, 0.1, 1 / 3, 1e300, -2.5e-17]
+
+
+def test_csv_writers_match_per_element_format(tmp_path):
+    # reference: one f-string per element on numpy scalars
+    grid = np.concatenate([np.linspace(-3.0, -1.0, 5000),
+                           np.sort(np.array(AWKWARD))])
+    w = SampledWeight(grid, np.resize(np.array(AWKWARD), grid.size), -0.0, 1e300)
+    expected = "s,u\n" + "".join(f"{float(s)!r},{float(u)!r}\n"
+                                 for s, u in zip(w.grid, w.values))
+    save_weight_csv(w, tmp_path / "w.csv")
+    assert (tmp_path / "w.csv").read_text() == expected
+
+    axis = np.sort(np.array(AWKWARD))
+    vals = np.array([np.roll(AWKWARD, i) for i in range(axis.size)])
+    w2 = SampledWeight2D(axis, axis, vals)
+    expected = "tau,s,phi\n" + "".join(
+        f"{float(tau)!r},{float(s)!r},{float(w2.values[i, j])!r}\n"
+        for i, tau in enumerate(w2.grid_tau) for j, s in enumerate(w2.grid_s))
+    save_weight2d_csv(w2, tmp_path / "w2.csv")
+    assert (tmp_path / "w2.csv").read_text() == expected
+    assert "-0.0," in expected and "5e-324" in expected
