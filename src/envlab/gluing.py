@@ -201,8 +201,8 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
     d_A, d_L (divisor degrees), grid (points per axis), epsilon; any
     other key fails the config stage.
     Returns the verification report; when ``out_dir`` is given the glued,
-    outer, and inner weights are exported as CSV and gnuplot data next to
-    the report JSON.
+    outer, and inner weights are exported there as CSV and gnuplot data
+    (the report itself is the caller's to write).
     """
     stage = "config"
     try:
@@ -282,8 +282,7 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
                           worst_point=getattr(exc, "worst_point", None)) from exc
 
     if out_dir is not None:
-        from .cli import export_report, export_weight2d_artifacts
+        from .cli import export_weight2d_artifacts
         export_weight2d_artifacts({"glued": glued, "outer": outer,
                                    "inner": inner}, out_dir)
-        export_report(report, out_dir, "hirzebruch-gluing")
     return report

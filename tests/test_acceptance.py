@@ -6,14 +6,11 @@ import time
 import numpy as np
 import pytest
 
-from envlab import (FiberMeasure, RegularizedMaxKernel, SlopeInterval,
-                    STATED_NORMALIZATION, ToricSection, bergman_fiber_integral,
-                    check_monotone_family, check_sandwich,
-                    coefficient_inequality, comparison_constants,
-                    default_t_grid, equilibrium_envelope, family_curve,
-                    fiber_volume, fibered_weight, gamma, hirzebruch_demo,
-                    hull_envelope, minimal_singularity_gap, monotone_t_grid,
-                    oracle_normalization, regularized_max, unit_boxes)
+from envlab import (check_monotone_family, check_sandwich,
+                    comparison_constants, default_t_grid, family_curve,
+                    fibered_weight, hirzebruch_demo, minimal_singularity_gap,
+                    monotone_t_grid, unit_boxes)
+from envlab import checks
 from conftest import bumpy_model_weight, model_pair, piecewise_quadratic_weight
 
 
@@ -38,20 +35,19 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _quadratic_case(rng, i):
+    return piecewise_quadratic_weight(rng, n=4096, d=1 + i % 3), 1 + i % 3
+
+
 def test_envelope_oracle_equivalence():
     rng = np.random.default_rng(1001)
     t0 = time.time()
-    worst = 0.0
-    for i in range(50):
-        d = 1 + i % 3
-        w = piecewise_quadratic_weight(rng, n=4096, d=d)
-        iv = SlopeInterval(0.0, float(d))
-        diff = np.abs(equilibrium_envelope(w, iv).values
-                      - hull_envelope(w, iv).values).max()
-        worst = max(worst, float(diff))
+    rep = checks.check_envelope_oracle_equivalence(rng, _quadratic_case, 50,
+                                                   1e-8)
     elapsed = time.time() - t0
-    _report("envelope-oracle-equivalence", worst <= 1e-8 and elapsed < 30.0,
-            f"sup-norm {worst:.3e} (tol 1e-08), {elapsed:.1f}s (budget 30s)")
+    _report("envelope-oracle-equivalence", rep.passed and elapsed < 30.0,
+            f"sup-norm {rep.max_violation:.3e} (tol 1e-08), "
+            f"{elapsed:.1f}s (budget 30s)")
 
 
 def test_family_monotonicity():
@@ -65,32 +61,19 @@ def test_family_monotonicity():
 
 
 def test_fiber_volume_unit_mass():
-    rng = np.random.default_rng(1003)
-    worst = 0.0
-    for _ in range(100):
-        a, b = rng.uniform(0.1, 10.0, size=2)
-        worst = max(worst, abs(fiber_volume(FiberMeasure(a, b)) - 1.0))
-    _report("fiber-unit-mass", worst <= 1e-10,
-            f"max |volume - 1| = {worst:.3e} (tol 1e-10), 100 cases")
+    rep = checks.check_fiber_volume(np.random.default_rng(1003), 100, 1e-10)
+    _report("fiber-unit-mass", rep.passed,
+            f"max |volume - 1| = {rep.max_violation:.3e} (tol 1e-10), 100 cases")
 
 
 def test_fiber_gamma_identity():
-    rng = np.random.default_rng(1004)
-    K = oracle_normalization()
-    worst = 0.0
-    for _ in range(20):
-        a, b = rng.uniform(0.1, 10.0, size=2)
-        m = FiberMeasure(a, b)
-        for t in np.arange(9) / 8.0:
-            lhs = np.exp(-bergman_fiber_integral(m, float(t))
-                         + t * np.log(a) + (1.0 - t) * np.log(b))
-            rhs = gamma(1.0 + t) * gamma(2.0 - t) / K
-            worst = max(worst, abs(lhs - rhs) / rhs)
-    agree = abs(K - STATED_NORMALIZATION) < 1e-9
-    _report("fiber-gamma-identity", worst <= 1e-8,
-            f"max rel error {worst:.3e} (tol 1e-08); K_oracle={K:g} vs "
-            f"stated K={STATED_NORMALIZATION:g} -> "
-            f"{'agree' if agree else 'DISAGREE'}")
+    rep = checks.check_fiber_normalization(np.random.default_rng(1004), 20,
+                                           1e-8, oracle_K=True)
+    d = rep.details
+    _report("fiber-gamma-identity", rep.passed,
+            f"max rel error {rep.max_violation:.3e} (tol 1e-08); "
+            f"K_oracle={d['K_oracle']:g} vs stated K={d['K_stated']:g} -> "
+            f"{'agree' if d['normalizations_agree'] else 'DISAGREE'}")
 
 
 def test_envelope_gap_bound():
@@ -123,47 +106,19 @@ def test_section_sandwich():
 
 
 def test_coefficient_parseval():
-    rng = np.random.default_rng(1007)
-    pair = model_pair(n=257, d_A=1, d_L=2)
-    worst = 0.0
-    for _ in range(100):
-        coeffs = {}
-        while len(coeffs) < rng.integers(1, 7):
-            lk = (int(rng.integers(0, 5)), int(rng.integers(0, 3)))
-            coeffs[lk] = complex(rng.normal(), rng.normal())
-        rep = coefficient_inequality(ToricSection(4, coeffs), pair)
-        worst = max(worst, rep.max_violation)
-    _report("coefficient-parseval", worst <= 1e-8,
-            f"max violation {worst:.3e} (tol 1e-08), 100 random sections")
+    rep = checks.check_coefficient_parseval(
+        np.random.default_rng(1007), model_pair(n=257, d_A=1, d_L=2), 100, 1e-8)
+    _report("coefficient-parseval", rep.passed,
+            f"max violation {rep.max_violation:.3e} (tol 1e-08), "
+            "100 random sections")
 
 
 def test_regularized_max_contract():
-    rng = np.random.default_rng(1008)
-    worst = 0.0
-    for _ in range(1000):
-        x, y = rng.normal(0.0, 4.0, size=2)
-        eps = rng.uniform(0.01, 2.0)
-        c = rng.normal()
-        k = RegularizedMaxKernel(eps)
-        m = regularized_max(k, x, y)
-        worst = max(worst,
-                    max(x, y) - m,
-                    m - max(x, y) - eps,
-                    abs(m - regularized_max(k, y, x)),
-                    abs(regularized_max(k, x + c, y + c) - m - c),
-                    m - regularized_max(k, x + abs(c), y),
-                    abs(m - max(x, y)) if abs(x - y) >= 2 * eps else 0.0)
-    s = np.linspace(-3.0, 3.0, 101)
-    convex_worst = 0.0
-    for _ in range(100):
-        f = rng.uniform(0.1, 1.0) * s * s + rng.normal() * s + rng.normal()
-        g = rng.uniform(0.1, 1.0) * np.abs(s - rng.normal()) + rng.normal()
-        m = regularized_max(RegularizedMaxKernel(rng.uniform(0.05, 1.0)), f, g)
-        convex_worst = max(convex_worst, float(-np.diff(m, n=2).min()), 0.0)
-    _report("regularized-max-contract",
-            worst <= 1e-10 and convex_worst <= 1e-10,
-            f"clause violation {worst:.3e}, convexity defect "
-            f"{convex_worst:.3e} (tol 1e-10)")
+    rep = checks.check_regularized_max_contract(np.random.default_rng(1008),
+                                                1000, 1e-10)
+    _report("regularized-max-contract", rep.passed,
+            f"max violation {rep.max_violation:.3e}, convexity defect "
+            f"{rep.details['convexity_defect']:.3e} (tol 1e-10)")
 
 
 def test_hirzebruch_demo():

@@ -1,12 +1,14 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 from envlab import SampledWeight, SampledWeight2D, save_weight_csv
-from envlab.cli import (ANCHORS, RunManifest, export_plot_data, export_report,
-                        load_plot_data, main, run)
+from envlab.checks import CHECKS
+from envlab.cli import (RunManifest, export_plot_data, export_report,
+                        load_plot_data, main)
 from envlab.report import VerificationReport
 
 
@@ -28,11 +30,13 @@ def test_manifest_validation():
 
 def test_envelope_command_convex_fixed_point(tmp_path):
     path, w = _convex_csv(tmp_path)
-    code = main(["envelope", "--input", str(path), "--out", str(tmp_path)])
+    out = tmp_path / "fresh" / "nested"  # run() creates it
+    code = main(["envelope", "--input", str(path), "--out", str(out)])
     assert code == 0
-    out = np.loadtxt(tmp_path / "envelope.csv", delimiter=",", skiprows=1)
-    assert np.abs(out[:, 1] - w.values).max() <= 1e-10
-    report = json.loads((tmp_path / "envelope-run.json").read_text())
+    out_csv = np.loadtxt(out / "envelope.csv", delimiter=",", skiprows=1)
+    assert np.abs(out_csv[:, 1] - w.values).max() <= 1e-10
+    assert (out / "envelope.dat").exists()
+    report = json.loads((out / "envelope-run.json").read_text())
     assert report["status"] == "pass"
     assert report["seed"] == 42
 
@@ -100,19 +104,50 @@ def test_report_determinism(tmp_path):
     strip = lambda p: [l for l in open(p) if "timestamp" not in l]
     assert strip(p1) == strip(p2)
     body = json.loads(open(p1).read())
-    assert "timestamp" in body and body["anchor"] == ANCHORS["fiber-volume"]
+    assert "timestamp" in body and body["anchor"] == CHECKS["fiber-volume"].anchor
 
 
-def test_anchor_registry_covers_emitted_checks(tmp_path):
-    manifest = RunManifest(command="verify-all", out_dir=str(tmp_path), seed=3)
-    assert run(manifest) == 0
-    for name in os.listdir(tmp_path):
-        if not name.endswith(".json"):
-            continue
-        rep = json.loads((tmp_path / name).read_text())
-        if "anchor" in rep:
-            assert rep["anchor"] in ANCHORS.values()
-            assert rep["seed"] == 3
+def test_export_rejects_unregistered_check(tmp_path):
+    rep = VerificationReport("orphan-check", 0.0, 1.0, {}, {})
+    with pytest.raises(KeyError):
+        export_report(rep, tmp_path, "orphan")
+    assert not os.listdir(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def verify_all_run(tmp_path_factory):
+    """One timed ``verify-all --seed 3``: (out dir, exit code, wall time)."""
+    out = tmp_path_factory.mktemp("verify-all")
+    start = time.perf_counter()
+    code = main(["verify-all", "--seed", "3", "--out", str(out)])
+    return out, code, time.perf_counter() - start
+
+
+def _reports(out):
+    return {name: json.loads((out / name).read_text())
+            for name in os.listdir(out)
+            if name.endswith(".json") and not name.endswith(".csv.json")}
+
+
+def test_anchor_registry_covers_emitted_checks(verify_all_run, tmp_path):
+    out, code, _ = verify_all_run
+    assert code == 0
+    for name, rep in _reports(out).items():
+        assert name == rep["check"] + ".json"
+        assert rep["seed"] == rep["details"].get("seed", 3) == 3
+        assert rep["anchor"] == CHECKS[rep["check"]].anchor
+    path, _ = _convex_csv(tmp_path)
+    assert main(["envelope", "--input", str(path), "--out", str(tmp_path)]) == 0
+    emitted = {rep["check"] for d in (out, tmp_path) for rep in _reports(d).values()}
+    # the acceptance suite runs envelope-gap-bound; no CLI command does
+    assert set(CHECKS) - emitted == {"envelope-gap-bound"}
+
+
+def test_wall_times_are_per_check(verify_all_run):
+    out, _, elapsed = verify_all_run
+    times = [rep["wall_time_s"] for rep in _reports(out).values()]
+    assert len(times) == 9 and all(t > 0 for t in times)
+    assert sum(times) <= elapsed
 
 
 def test_plot_data_1d_roundtrip(tmp_path):

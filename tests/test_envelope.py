@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlab import (SampledWeight, SlopeInterval, UnboundedTransformError,
-                    convexity_defect, equilibrium_envelope, hull_envelope,
+                    checks, convexity_defect, equilibrium_envelope,
                     legendre_transform, legendre_values)
 from envlab.envelope import _monotone_chain_lower, _upper_line_envelope
 from conftest import bumpy_model_weight, piecewise_quadratic_weight
@@ -62,13 +62,13 @@ def test_envelope_below_weight_and_convex(rng):
         assert convexity_defect(env) <= 1e-10
 
 
-def test_dual_routes_agree(rng):
-    for d in (1, 2, 3):
-        w = piecewise_quadratic_weight(rng, n=1024, d=d)
-        iv = SlopeInterval(0.0, float(d))
-        a = equilibrium_envelope(w, iv)
-        b = hull_envelope(w, iv)
-        assert np.abs(a.values - b.values).max() <= 1e-10
+def test_dual_routes_agree(rng, monkeypatch):
+    def draw(rng, i):
+        return piecewise_quadratic_weight(rng, n=1024, d=i + 1), i + 1
+    battery = checks.check_envelope_oracle_equivalence
+    assert battery(rng, draw, 3, 1e-10).passed
+    monkeypatch.setattr(checks, "hull_envelope", lambda w, iv: w)
+    assert not battery(rng, draw, 3, 1e-10).passed
 
 
 def test_convexity_defect_values():

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
 from envlab import (GlueRegion, GluingError, InvalidInputError,
                     InvalidParameterError, RegularizedMaxKernel,
-                    SampledWeight2D, glue_weights, grid_line_defects,
+                    SampledWeight2D, checks, glue_weights, grid_line_defects,
                     hirzebruch_demo, regularized_max)
 
 
@@ -23,19 +25,16 @@ def test_exact_branch():
     assert regularized_max(k, -3.0, -1.0) == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_contract_clauses(rng):
-    for _ in range(200):
-        x, y = rng.normal(0.0, 4.0, size=2)
-        eps = rng.uniform(0.01, 2.0)
-        c = rng.normal()
-        k = RegularizedMaxKernel(eps)
+def test_contract_clauses(rng, monkeypatch):
+    # every clause within 1e-12 on 200 scalar draws, convexity on 100 pairs
+    assert checks.check_regularized_max_contract(rng, 200, 1e-12).passed
+
+    def broken(k, x, y):  # scalars shifted (not exact), arrays zigzag
         m = regularized_max(k, x, y)
-        assert max(x, y) - 1e-10 <= m <= max(x, y) + eps + 1e-10
-        assert m == pytest.approx(regularized_max(k, y, x), abs=1e-12)
-        assert regularized_max(k, x + c, y + c) == pytest.approx(m + c, abs=1e-10)
-        assert regularized_max(k, x + abs(c), y) >= m - 1e-12
-        if abs(x - y) >= 2 * eps:
-            assert m == pytest.approx(max(x, y), abs=1e-10)
+        return m + 0.1 if np.ndim(m) == 0 else m + 0.01 * (-1.0) ** np.arange(m.size)
+    monkeypatch.setattr(checks, "regularized_max", broken)
+    rep = checks.check_regularized_max_contract(rng, 200, 1e-12)
+    assert rep.max_violation > rep.details["convexity_defect"] > 1e-12
 
 
 def _double_gauss_sum(nodes, eps, x, y):
@@ -168,12 +167,15 @@ def test_glue_translation_covariance():
     assert np.abs(a - b).max() <= 1e-10
 
 
-def test_hirzebruch_demo_small():
+def test_hirzebruch_demo_small(tmp_path):
     rep = hirzebruch_demo({"k": 3, "d_A": 1, "d_L": 0, "grid": 64,
-                           "epsilon": 0.25})
+                           "epsilon": 0.25}, out_dir=tmp_path)
     assert rep.passed
     assert rep.details["outer_region_exact"]
     assert rep.details["line_convexity_defect"] <= 1e-9
+    # the weights only; the report is the caller's to write
+    assert sorted(os.listdir(tmp_path)) == ["glued.csv", "glued.dat", "inner.csv",
+                                            "inner.dat", "outer.csv", "outer.dat"]
 
 
 def test_hirzebruch_demo_bad_config():

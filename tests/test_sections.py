@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
-                    SampledWeight, SlopeInterval, ToricSection, check_sandwich,
+                    SampledWeight, SlopeInterval, ToricSection,
+                    VerificationReport, check_sandwich, checks,
                     coefficient_inequality, comparison_constants,
                     equilibrium_envelope, legendre_values, load_section_json,
                     psi1_approximant, psi2_approximant, save_section_json,
@@ -148,15 +149,12 @@ def test_coefficient_inequality_two_equal_terms(pair):
         assert v <= total * (1 + 1e-12)
 
 
-def test_coefficient_inequality_random(pair, rng):
-    for _ in range(10):
-        coeffs = {}
-        while len(coeffs) < rng.integers(1, 7):
-            lk = (int(rng.integers(0, 5)), int(rng.integers(0, 3)))
-            coeffs[lk] = complex(rng.normal(), rng.normal())
-        rep = coefficient_inequality(ToricSection(4, coeffs), pair)
-        assert rep.passed
-        assert rep.details["parseval_mismatch"] <= 1e-8
+def test_coefficient_inequality_random(pair, rng, monkeypatch):
+    # each section's worst term excess and Parseval mismatch within 1e-8
+    assert checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
+    broken = VerificationReport("coefficient-parseval", 1e-6, 1e-8)
+    monkeypatch.setattr(checks, "coefficient_inequality", lambda s, p: broken)
+    assert not checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
 
 
 def test_scaling_shifts_log_norm(pair):
