@@ -35,7 +35,7 @@ def main() -> None:
     print(f"  symmetry          : {sym:.3e}")
 
     print("\nend-to-end ruled-surface gluing run:")
-    report = hirzebruch_demo(
+    report, _ = hirzebruch_demo(
         {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": eps}
     )
     print(f"  status            : {report.status}")

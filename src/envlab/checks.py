@@ -87,9 +87,8 @@ def check_envelope_oracle_equivalence(rng, draw, cases: int,
 def check_envelope_run(w, env, source: str, tol: float) -> VerificationReport:
     """``env``, the primary envelope of ``w`` read from ``source``, matches
     the oracle on ``w``'s own slope interval."""
-    iv = SlopeInterval(w.slope_left, w.slope_right)
     return VerificationReport(
-        check="envelope-run", max_violation=_oracle_gap(w, env, iv),
+        check="envelope-run", max_violation=_oracle_gap(w, env, w.slope_interval),
         tolerance=tol, grid={"s_points": int(w.grid.size)},
         details={"input": source})
 

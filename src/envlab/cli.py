@@ -29,8 +29,8 @@ from .gluing import hirzebruch_demo
 from .report import VerificationReport
 from .sections import (check_sandwich, comparison_constants, psi1_approximant,
                        unit_boxes)
-from .weights import (SampledWeight, SampledWeight2D, SlopeInterval,
-                      _write_blocks, load_weight_csv, save_weight_csv)
+from .weights import (SampledWeight, SampledWeight2D, _write_blocks,
+                      load_weight_csv, save_weight2d_csv, save_weight_csv)
 
 __all__ = ["main", "run", "RunManifest", "export_plot_data",
            "load_plot_data", "export_report", "export_weight2d_artifacts"]
@@ -95,8 +95,7 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
                                  for s, v in zip(s_text, row.tolist())) + "\n")
             return path
         if envelope is None:
-            envelope = equilibrium_envelope(
-                w, SlopeInterval(w.slope_left, w.slope_right))
+            envelope = equilibrium_envelope(w, w.slope_interval)
         if psi is None:
             d = max(int(round(w.slope_right)), 0)
             psi = psi1_approximant(w, d, 64) if d > 0 else envelope
@@ -120,7 +119,6 @@ def load_plot_data(path):
 
 
 def export_weight2d_artifacts(named_weights: dict, out_dir) -> None:
-    from .weights import save_weight2d_csv
     os.makedirs(str(out_dir), exist_ok=True)
     for name, w in named_weights.items():
         save_weight2d_csv(w, os.path.join(str(out_dir), f"{name}.csv"))
@@ -152,12 +150,15 @@ def _random_case(rng, i):
 # run() times, exports and prints them.
 
 def _cmd_envelope(manifest: RunManifest):
-    w = load_weight_csv(manifest.inputs["input"])
-    env = equilibrium_envelope(w, SlopeInterval(w.slope_left, w.slope_right))
+    source = manifest.inputs.get("input")
+    if source is None:
+        raise InvalidInputError("envelope needs an input weight CSV")
+    w = load_weight_csv(source)
+    env = equilibrium_envelope(w, w.slope_interval)
     save_weight_csv(env, os.path.join(manifest.out_dir, "envelope.csv"))
     export_plot_data(w, os.path.join(manifest.out_dir, "envelope.dat"),
                      envelope=env)
-    yield checks.check_envelope_run(w, env, str(manifest.inputs["input"]),
+    yield checks.check_envelope_run(w, env, str(source),
                                     manifest.tol("envelope-run"))
 
 
@@ -194,7 +195,9 @@ def _cmd_glue(manifest: RunManifest):
             raise InvalidInputError(
                 f"config must be a JSON object, got {type(loaded).__name__}")
         config.update(loaded)
-    yield hirzebruch_demo(config, out_dir=manifest.out_dir)
+    report, weights = hirzebruch_demo(config)
+    export_weight2d_artifacts(weights, manifest.out_dir)
+    yield report
 
 
 def _cmd_verify_all(manifest: RunManifest):
@@ -239,7 +242,7 @@ def run(manifest: RunManifest) -> int:
                           wall_time=time.perf_counter() - start)
             reports.append(rep)
             start = time.perf_counter()
-    except (OSError, KeyError, ValueError, EnvlabError) as exc:
+    except (OSError, ValueError, EnvlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for rep in reports:

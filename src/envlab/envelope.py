@@ -32,7 +32,6 @@ from .weights import SampledWeight, SlopeInterval
 
 __all__ = [
     "legendre_values",
-    "legendre_transform",
     "equilibrium_envelope",
     "hull_envelope",
     "convexity_defect",
@@ -58,23 +57,6 @@ def legendre_values(w: SampledWeight, sigmas) -> np.ndarray:
         block = sig[k:k + chunk, None] * w.grid[None, :] - w.values[None, :]
         out[k:k + chunk] = block.max(axis=1)
     return out if np.ndim(sigmas) else float(out[0])
-
-
-def legendre_transform(w: SampledWeight, interval: SlopeInterval,
-                       num: int | None = None) -> SampledWeight:
-    """Sample the conjugate on a uniform slope grid over ``interval``."""
-    if interval.width == 0.0:
-        # Width-zero interval: the conjugate restricted to I is one number.
-        sigma = interval.sigma_min
-        v = legendre_values(w, sigma)
-        g = np.array([sigma, sigma + 1e-9])
-        return SampledWeight(g, np.array([v, v]), 0.0, 0.0)
-    n = num if num is not None else min(w.grid.size, 1025)
-    sig = np.linspace(interval.sigma_min, interval.sigma_max, n)
-    vals = legendre_values(w, sig)
-    # The conjugate's derivative is the maximising s, so the sampled s-range
-    # bounds the output slopes.
-    return SampledWeight(sig, vals, float(w.grid[0]), float(w.grid[-1]))
 
 
 def _upper_line_envelope(slopes, intercepts):

@@ -25,7 +25,7 @@ from .envelope import equilibrium_envelope
 from .envelope2d import equilibrium_envelope_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .fiber import gamma, oracle_normalization
-from .measures import DEFAULT_BASE_MEASURE
+from .measures import base_density
 from .report import VerificationReport
 from .weights import SampledWeight, SampledWeight2D, SlopeInterval
 
@@ -38,7 +38,6 @@ __all__ = [
     "monotone_t_grid",
     "check_monotone_family",
     "check_right_continuity",
-    "check_upper_semicontinuity",
     "fibered_weight",
     "naive_fibered_weight",
     "minimal_singularity_gap",
@@ -46,6 +45,13 @@ __all__ = [
 
 #: t-grid cap used by the monotonicity check; t = 1 is handled separately.
 T_CAP = 1.0 - 1.0 / 1024.0
+
+# offsets d of the right-continuity ladder, coarsest first
+_DELTAS = (1 / 32, 1 / 64, 1 / 128, 1 / 256)
+
+# side of the half-overlapping s-boxes and t samples of the constant C1
+_BOX_SIZE = 1.0
+_T_SAMPLES = 101
 
 
 @dataclass(frozen=True)
@@ -152,27 +158,24 @@ def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationRep
         details={"t_max": float(fc.t_grid[-1])})
 
 
-def check_right_continuity(fc: FamilyCurve,
-                           deltas=(1 / 32, 1 / 64, 1 / 128, 1 / 256),
-                           t_values=None,
+def check_right_continuity(fc: FamilyCurve, t_values=None,
                            tol: float = 1e-9) -> VerificationReport:
     """Residuals |psi_{t+d}/(1-t-d) - psi_t/(1-t)| must decay as d halves.
 
     Fresh envelopes are computed at each offset t + d; the report records
     the residual ladder and the fitted dyadic decay rate.
     """
-    deltas = sorted(float(d) for d in deltas)[::-1]
     if t_values is None:
-        interior = fc.t_grid[(fc.t_grid > 0.0) & (fc.t_grid + deltas[0] < 1.0)]
+        interior = fc.t_grid[(fc.t_grid > 0.0) & (fc.t_grid + _DELTAS[0] < 1.0)]
         t_values = interior[:: max(1, interior.size // 8)]
     ladders = {}
     worst_increase = 0.0
     for t in np.asarray(t_values, dtype=float):
         base = envelope_offset(fc.pair, t).values / (1.0 - t)
         resid = []
-        for d in deltas:
-            shifted = envelope_offset(fc.pair, t + d).values / (1.0 - t - d)
-            resid.append(float(np.abs(shifted - base).max()))
+        for d in _DELTAS:
+            ahead = envelope_offset(fc.pair, t + d).values / (1.0 - t - d)
+            resid.append(float(np.abs(ahead - base).max()))
         for r_coarse, r_fine in zip(resid, resid[1:]):
             worst_increase = max(worst_increase, r_fine - r_coarse)
         ladders[float(t)] = resid
@@ -182,33 +185,9 @@ def check_right_continuity(fc: FamilyCurve,
         check="family-right-continuity",
         max_violation=worst_increase,
         tolerance=tol,
-        grid={"deltas": list(deltas), "t_values": [float(t) for t in ladders]},
+        grid={"deltas": list(_DELTAS), "t_values": [float(t) for t in ladders]},
         details={"residuals": ladders,
                  "fitted_decay": float(np.mean(rates)) if rates else 0.0})
-
-
-def check_upper_semicontinuity(fc: FamilyCurve, t0: float, s0: float,
-                               radii=(0.2, 0.1, 0.05, 0.025),
-                               tol: float = 1e-9) -> VerificationReport:
-    """Box maxima of H(s, t) = psi_t/(1-t) shrink down to the center value."""
-    h = fc.psi_matrix() / (1.0 - fc.t_grid)[:, None]
-    s = fc.pair.grid
-    center = float(h[np.argmin(np.abs(fc.t_grid - t0)),
-                     np.argmin(np.abs(s - s0))])
-    maxima = []
-    for r in sorted(radii, reverse=True):
-        box = h[np.abs(fc.t_grid - t0) <= r][:, np.abs(s - s0) <= r]
-        maxima.append(float(box.max()))
-    worst = max(max(0.0, b - a) for a, b in zip(maxima, maxima[1:])) \
-        if len(maxima) > 1 else 0.0
-    worst = max(worst, center - maxima[-1])
-    return VerificationReport(
-        check="family-upper-semicontinuity",
-        max_violation=worst,
-        tolerance=tol,
-        grid={"radii": list(sorted(radii, reverse=True))},
-        details={"center": center, "box_maxima": maxima,
-                 "t0": float(t0), "s0": float(s0)})
 
 
 def cayley_polytope(pair: ModelBundlePair) -> np.ndarray:
@@ -245,33 +224,31 @@ def naive_fibered_weight(pair: ModelBundlePair, tau_grid) -> SampledWeight2D:
     return SampledWeight2D(tau_grid, pair.grid, vals, cayley_polytope(pair))
 
 
-def _oscillation_constants(pair: ModelBundlePair, box_size: float = 1.0,
-                           t_samples: int = 101,
-                           base_measure=DEFAULT_BASE_MEASURE):
+def _oscillation_constants(pair: ModelBundlePair):
     """Oscillation constant C1 and density-ratio constant C2 over s-boxes."""
     s = pair.grid
     k = oracle_normalization()
-    t = np.linspace(0.0, 1.0, t_samples)
+    t = np.linspace(0.0, 1.0, _T_SAMPLES)
     gam = np.array([math.log(gamma(1.0 + ti) * gamma(2.0 - ti) / k) for ti in t])
     # reference family t phi_A + (1-t) phi_L - log(Gamma Gamma / K), all t
     ref = (t[:, None] * pair.phi_A.values[None, :]
            + (1.0 - t)[:, None] * pair.phi_L.values[None, :]
            - gam[:, None])
-    starts = np.arange(s[0], s[-1], box_size / 2.0)
+    starts = np.arange(s[0], s[-1], _BOX_SIZE / 2.0)
     c1 = 0.0
     for lo in starts:
-        box = (s >= lo) & (s <= lo + box_size)
+        box = (s >= lo) & (s <= lo + _BOX_SIZE)
         if not np.any(box):
             continue
         piece = ref[:, box]
         c1 = max(c1, float(piece.max() - piece.min()))
-    dens = base_measure.density(s)
+    dens = base_density(s)
     c2 = float(np.log(1.0 / dens.min()))
     return c1, c2
 
 
-def minimal_singularity_gap(pair: ModelBundlePair, fw: SampledWeight2D,
-                            box_size: float = 1.0) -> VerificationReport:
+def minimal_singularity_gap(pair: ModelBundlePair,
+                            fw: SampledWeight2D) -> VerificationReport:
     """Envelope of the log-sum weight stays within C of the fibered weight.
 
     Builds phi_inf(tau, s) = log(e^{tau + phi_A} + e^{phi_L}) on the grids
@@ -284,7 +261,7 @@ def minimal_singularity_gap(pair: ModelBundlePair, fw: SampledWeight2D,
         raise InvalidInputError("fibered weight must live on the pair grid")
     env = equilibrium_envelope_2d(naive)
     gap = float((env.values - fw.values).max())
-    c1, c2 = _oscillation_constants(pair, box_size=box_size)
+    c1, c2 = _oscillation_constants(pair)
     c = c1 + c2 + math.log(2.0)
     return VerificationReport(
         check="envelope-gap-bound",
@@ -292,6 +269,6 @@ def minimal_singularity_gap(pair: ModelBundlePair, fw: SampledWeight2D,
         tolerance=0.0,
         grid={"tau_points": int(fw.grid_tau.size),
               "s_points": int(fw.grid_s.size),
-              "box_size": box_size},
+              "box_size": _BOX_SIZE},
         details={"observed_gap": gap, "C": c, "C1": c1, "C2": c2,
                  "K": oracle_normalization()})

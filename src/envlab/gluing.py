@@ -186,7 +186,9 @@ _DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
 def _config_number(config, key, convert, default=None):
     """``convert(config[key])`` as a typed config error; ``default`` (when
     given) stands in for an absent key."""
-    value = config[key] if default is None else config.get(key, default)
+    if default is None and key not in config:
+        raise InvalidParameterError(f"config needs key {key!r}")
+    value = config.get(key, default)
     try:
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -194,15 +196,14 @@ def _config_number(config, key, convert, default=None):
             f"config {key} must be a finite number, got {value!r}") from exc
 
 
-def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
+def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
     """End-to-end gluing run on the ruled-surface model.
 
     ``config`` keys: k (positive twist of the ambient log-norm term),
     d_A, d_L (divisor degrees), grid (points per axis), epsilon; any
     other key fails the config stage.
-    Returns the verification report; when ``out_dir`` is given the glued,
-    outer, and inner weights are exported there as CSV and gnuplot data
-    (the report itself is the caller's to write).
+    Returns the verification report and the glued, outer and inner
+    weights keyed by those names.
     """
     stage = "config"
     try:
@@ -223,13 +224,15 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
 
         stage = "pair"
         s_grid = np.linspace(-20.0, 20.0, n)
-        phi_A = SampledWeight.from_function(
-            lambda s: d_A * np.log1p(np.exp(-np.abs(s))) + d_A * np.maximum(s, 0.0),
-            0.0, float(d_A), s_grid)
-        phi_L = SampledWeight.from_function(
-            lambda s: d_L * np.log1p(np.exp(-np.abs(s))) + d_L * np.maximum(s, 0.0)
-            + _bump(s),
-            0.0, float(d_L), s_grid)
+        phi_A = SampledWeight(
+            s_grid,
+            d_A * np.log1p(np.exp(-np.abs(s_grid))) + d_A * np.maximum(s_grid, 0.0),
+            0.0, float(d_A))
+        phi_L = SampledWeight(
+            s_grid,
+            d_L * np.log1p(np.exp(-np.abs(s_grid))) + d_L * np.maximum(s_grid, 0.0)
+            + _bump(s_grid),
+            0.0, float(d_L))
         pair = ModelBundlePair(phi_A, d_A, phi_L, d_L)
 
         stage = "family"
@@ -280,9 +283,4 @@ def hirzebruch_demo(config, out_dir=None) -> VerificationReport:
     except EnvlabError as exc:
         raise GluingError(f"stage '{stage}' failed: {exc}",
                           worst_point=getattr(exc, "worst_point", None)) from exc
-
-    if out_dir is not None:
-        from .cli import export_weight2d_artifacts
-        export_weight2d_artifacts({"glued": glued, "outer": outer,
-                                   "inner": inner}, out_dir)
-    return report
+    return report, {"glued": glued, "outer": outer, "inner": inner}

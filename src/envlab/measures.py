@@ -1,31 +1,13 @@
-"""Base measures on the s-line used for L2 section norms."""
+"""The base probability measure on the s-line used for L2 section norms."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class BaseMeasure:
-    """A probability density on the s-line."""
-
-    name: str
-    density: Callable[[np.ndarray], np.ndarray]
-
-
-def fubini_study_measure() -> BaseMeasure:
+def base_density(s) -> np.ndarray:
     """Circle-averaged Fubini-Study volume: (e^{s/2} + e^{-s/2})^{-2} ds.
 
     Integrates to one exactly (antiderivative tanh(s/2) / 2).
     """
-
-    def density(s):
-        return 1.0 / (4.0 * np.cosh(np.asarray(s, dtype=float) / 2.0) ** 2)
-
-    return BaseMeasure("fubini-study", density)
-
-
-DEFAULT_BASE_MEASURE = fubini_study_measure()
+    return 1.0 / (4.0 * np.cosh(np.asarray(s, dtype=float) / 2.0) ** 2)

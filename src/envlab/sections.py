@@ -27,7 +27,6 @@ coefficient algebra of the component side.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ import numpy as np
 from .envelope import equilibrium_envelope, legendre_values
 from .errors import InvalidCoverError, InvalidInputError, InvalidParameterError
 from .family import ModelBundlePair
-from .measures import DEFAULT_BASE_MEASURE, BaseMeasure
+from .measures import base_density
 from .report import VerificationReport
 from .weights import SampledWeight, SlopeInterval
 
@@ -49,8 +48,6 @@ __all__ = [
     "unit_boxes",
     "check_sandwich",
     "coefficient_inequality",
-    "save_section_json",
-    "load_section_json",
 ]
 
 _TAIL_LENGTH = 45.0
@@ -95,30 +92,6 @@ class ToricSection:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def save_section_json(sec: ToricSection, path) -> None:
-    payload = {
-        "m": sec.m,
-        "coefficients": [
-            {"l": l, "k": k, "re": c.real, "im": c.imag}
-            for (l, k), c in sorted(sec.coefficients.items())
-        ],
-    }
-    with open(str(path), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def load_section_json(path) -> ToricSection:
-    try:
-        with open(str(path), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        coeffs = {(int(e["l"]), int(e["k"])): complex(e["re"], e["im"])
-                  for e in payload["coefficients"]}
-        return ToricSection(int(payload["m"]), coeffs)
-    except (OSError, KeyError, ValueError, TypeError) as exc:
-        raise InvalidInputError(f"cannot parse section file {path}: {exc}") from exc
-
-
 def _slope_lattice(w: SampledWeight, d: int, m: int) -> np.ndarray:
     if int(d) != d or d < 0:
         raise InvalidParameterError(f"degree must be an integer >= 0, got {d}")
@@ -154,14 +127,14 @@ def _tail_nodes(edge, sign, length=_TAIL_LENGTH, panels=40, order=6):
     return _segment_nodes(grid, order)
 
 
-def _log_norms_squared(w, lattice, m, base_measure):
+def _log_norms_squared(w, lattice, m):
     """log of the L2^2 norms of monomials e^{ks - m u(s)} d(mu), stable form."""
     nodes_mid, wt_mid = _segment_nodes(w.grid)
     nodes_lo, wt_lo = _tail_nodes(w.grid[0], -1.0)
     nodes_hi, wt_hi = _tail_nodes(w.grid[-1], +1.0)
     nodes = np.concatenate([nodes_lo, nodes_mid, nodes_hi])
     wt = np.concatenate([wt_lo, wt_mid, wt_hi])
-    log_meas = np.log(np.maximum(base_measure.density(nodes), 1e-300)) + np.log(wt)
+    log_meas = np.log(np.maximum(base_density(nodes), 1e-300)) + np.log(wt)
     u = w(nodes)
     out = np.empty(lattice.size)
     for i, sig in enumerate(lattice):
@@ -171,11 +144,10 @@ def _log_norms_squared(w, lattice, m, base_measure):
     return out
 
 
-def psi2_approximant(w: SampledWeight, d: int, m: int,
-                     base_measure: BaseMeasure = DEFAULT_BASE_MEASURE) -> SampledWeight:
-    """L2-normalized monomial approximant against ``base_measure``."""
+def psi2_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
+    """L2-normalized monomial approximant against the base density."""
     lattice = _slope_lattice(w, d, m)
-    log_norms = _log_norms_squared(w, lattice, m, base_measure)
+    log_norms = _log_norms_squared(w, lattice, m)
     vals = (lattice[:, None] * w.grid[None, :]
             - (1.0 / m) * log_norms[:, None]).max(axis=0)
     return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
@@ -187,9 +159,7 @@ def unit_boxes(lo: float, hi: float, size: float = 1.0, overlap: float = 0.5):
     return [(float(s), float(s + size)) for s in starts]
 
 
-def comparison_constants(w: SampledWeight, chart_boxes,
-                         base_measure: BaseMeasure = DEFAULT_BASE_MEASURE
-                         ) -> ComparisonConstants:
+def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
     """Box oscillation of u and worst flat-vs-base density ratio."""
     boxes = sorted((float(a), float(b)) for a, b in chart_boxes)
     if not boxes:
@@ -213,18 +183,17 @@ def comparison_constants(w: SampledWeight, chart_boxes,
         pts = np.concatenate([[max(a, lo)], pts, [min(b, hi)]])
         vals = w(pts)
         c1 = max(c1, float(vals.max() - vals.min()))
-        dens = base_measure.density(pts)
+        dens = base_density(pts)
         c2 = max(c2, float(-np.log(dens.min())))
     return ComparisonConstants(c1, c2)
 
 
 def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
-                   base_measure: BaseMeasure = DEFAULT_BASE_MEASURE,
                    tol: float = 1e-9) -> VerificationReport:
     """psi2 - C' <= psi1 <= envelope, plus the big-case gap when d >= 1."""
     env = equilibrium_envelope(w, SlopeInterval(0.0, float(d)))
     psi1 = psi1_approximant(w, d, m)
-    psi2 = psi2_approximant(w, d, m, base_measure)
+    psi2 = psi2_approximant(w, d, m)
     lower_violation = float((psi2.values - cc.total - psi1.values).max())
     upper_violation = float((psi1.values - env.values).max())
     details = {"m": int(m), "d": int(d), "C_prime": cc.total}
@@ -250,7 +219,6 @@ def _fiber_quadrature(n_cells: int = 24, order: int = 4):
 
 
 def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
-                           base_measure: BaseMeasure = DEFAULT_BASE_MEASURE,
                            tol: float = 1e-8) -> VerificationReport:
     """Fiber-degree component masses against the total mass of a section.
 
@@ -264,7 +232,7 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
-    meas = base_measure.density(s_nodes) * s_wt
+    meas = base_density(s_nodes) * s_wt
     a = np.exp(pair.phi_A(s_nodes))
     b = np.exp(pair.phi_L(s_nodes))
     r, r_wt = _fiber_quadrature()

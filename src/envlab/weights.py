@@ -16,16 +16,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-DEFAULT_GRID_POINTS = 4096
-DEFAULT_GRID_SPAN = (-20.0, 20.0)
-
-
-def default_grid(n: int = DEFAULT_GRID_POINTS, lo: float = DEFAULT_GRID_SPAN[0],
-                 hi: float = DEFAULT_GRID_SPAN[1]) -> np.ndarray:
-    """Uniform working grid covering the asymptotic regime."""
-    return np.linspace(lo, hi, n)
-
-
 def _as_grid(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -57,10 +47,6 @@ class SlopeInterval:
     @property
     def width(self) -> float:
         return self.sigma_max - self.sigma_min
-
-    @classmethod
-    def for_degree(cls, d: float) -> "SlopeInterval":
-        return cls(0.0, float(d))
 
 
 @dataclass(frozen=True)
@@ -105,17 +91,9 @@ class SampledWeight:
             self.slope_left if slope_left is None else float(slope_left),
             self.slope_right if slope_right is None else float(slope_right))
 
-    def shifted(self, c: float) -> "SampledWeight":
-        return self.with_values(self.values + c)
-
     @property
     def slope_interval(self) -> SlopeInterval:
         return SlopeInterval(self.slope_left, self.slope_right)
-
-    @classmethod
-    def from_function(cls, f, slope_left, slope_right, grid=None) -> "SampledWeight":
-        g = default_grid() if grid is None else _as_grid(grid, "grid")
-        return cls(g, np.asarray(f(g), dtype=float), float(slope_left), float(slope_right))
 
 
 def _check_polygon(poly):

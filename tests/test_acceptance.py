@@ -123,8 +123,8 @@ def test_regularized_max_contract():
 
 def test_hirzebruch_demo():
     t0 = time.time()
-    rep = hirzebruch_demo({"k": 3, "d_A": 1, "d_L": 0, "grid": 128,
-                           "epsilon": 0.25})
+    rep, _ = hirzebruch_demo({"k": 3, "d_A": 1, "d_L": 0, "grid": 128,
+                              "epsilon": 0.25})
     elapsed = time.time() - t0
     ok = (rep.passed and rep.details["outer_region_exact"]
           and rep.details["line_convexity_defect"] <= 1e-9

@@ -7,8 +7,9 @@ import pytest
 
 from envlab import SampledWeight, SampledWeight2D, save_weight_csv
 from envlab.checks import CHECKS
+from envlab import cli
 from envlab.cli import (RunManifest, export_plot_data, export_report,
-                        load_plot_data, main)
+                        load_plot_data, main, run)
 from envlab.report import VerificationReport
 
 
@@ -112,6 +113,21 @@ def test_export_rejects_unregistered_check(tmp_path):
     with pytest.raises(KeyError):
         export_report(rep, tmp_path, "orphan")
     assert not os.listdir(tmp_path)
+
+
+def test_unregistered_check_is_a_program_fault(tmp_path, monkeypatch):
+    # a handler emitting a check outside the registry is a bug, not bad input
+    def orphan(manifest):
+        yield VerificationReport("orphan-check", 0.0, 1.0, {}, {})
+
+    monkeypatch.setitem(cli.COMMANDS, "family", (orphan, "family curve checks"))
+    with pytest.raises(KeyError):
+        main(["family", "--out", str(tmp_path)])
+
+
+def test_envelope_manifest_without_input(tmp_path, capsys):
+    assert run(RunManifest("envelope", out_dir=str(tmp_path))) == 2
+    assert "input" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

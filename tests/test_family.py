@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from envlab import (InvalidParameterError, check_monotone_family,
-                    check_right_continuity, check_upper_semicontinuity,
+                    check_right_continuity,
                     equilibrium_envelope, family_curve, fibered_weight,
                     hull_envelope, minimal_singularity_gap, mix_weights,
                     monotone_t_grid, naive_fibered_weight, cayley_polytope,
@@ -78,12 +78,6 @@ def test_right_continuity(pair, fc):
     assert rep.passed
     for ladder in rep.details["residuals"].values():
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
-
-
-def test_upper_semicontinuity(fc):
-    rep = check_upper_semicontinuity(fc, t0=0.5, s0=3.0,
-                                     radii=(1.6, 0.8, 0.4, 0.2))
-    assert rep.passed
 
 
 def test_fibered_weight_structure(pair):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from envlab import (GlueRegion, GluingError, InvalidInputError,
                     InvalidParameterError, RegularizedMaxKernel,
                     SampledWeight2D, checks, glue_weights, grid_line_defects,
                     hirzebruch_demo, regularized_max)
+from envlab.cli import main
 
 
 def test_kernel_validation():
@@ -168,20 +170,33 @@ def test_glue_translation_covariance():
 
 
 def test_hirzebruch_demo_small(tmp_path):
-    rep = hirzebruch_demo({"k": 3, "d_A": 1, "d_L": 0, "grid": 64,
-                           "epsilon": 0.25}, out_dir=tmp_path)
+    config = {"k": 3, "d_A": 1, "d_L": 0, "grid": 64, "epsilon": 0.25}
+    rep, weights = hirzebruch_demo(config)
     assert rep.passed
     assert rep.details["outer_region_exact"]
     assert rep.details["line_convexity_defect"] <= 1e-9
-    # the weights only; the report is the caller's to write
-    assert sorted(os.listdir(tmp_path)) == ["glued.csv", "glued.dat", "inner.csv",
-                                            "inner.dat", "outer.csv", "outer.dat"]
+    assert sorted(weights) == ["glued", "inner", "outer"]
+    # the CLI writes each weight as CSV and gnuplot data beside the report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["glue-demo", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == [
+        "glued.csv", "glued.dat", "hirzebruch-gluing.json", "inner.csv",
+        "inner.dat", "outer.csv", "outer.dat"]
 
 
 def test_hirzebruch_demo_bad_config():
     with pytest.raises(GluingError) as err:
         hirzebruch_demo({"k": 0, "d_A": 1, "d_L": 0})
     assert "config" in str(err.value)
+
+
+def test_hirzebruch_demo_missing_key():
+    with pytest.raises(GluingError) as err:
+        hirzebruch_demo({"d_A": 1, "d_L": 0})
+    assert "stage 'config'" in str(err.value) and "'k'" in str(err.value)
+    assert isinstance(err.value.__cause__, InvalidParameterError)
 
 
 def test_corrupted_inner_breaks_convexity():

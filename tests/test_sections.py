@@ -7,10 +7,9 @@ from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
                     SampledWeight, SlopeInterval, ToricSection,
                     VerificationReport, check_sandwich, checks,
                     coefficient_inequality, comparison_constants,
-                    equilibrium_envelope, legendre_values, load_section_json,
-                    psi1_approximant, psi2_approximant, save_section_json,
-                    unit_boxes)
-from envlab.measures import DEFAULT_BASE_MEASURE
+                    equilibrium_envelope, legendre_values, psi1_approximant,
+                    psi2_approximant, unit_boxes)
+from envlab.measures import base_density
 from envlab.sections import _fiber_quadrature, _segment_nodes
 from conftest import bumpy_model_weight, model_pair
 
@@ -118,17 +117,6 @@ def test_toric_section_validation():
     assert (2, 1) not in sec.coefficients
 
 
-def test_section_json_roundtrip(tmp_path):
-    sec = ToricSection(4, {(0, 0): 1 + 2j, (3, 2): -0.5j})
-    path = tmp_path / "sec.json"
-    save_section_json(sec, path)
-    back = load_section_json(path)
-    assert back.m == 4
-    assert back.coefficients == sec.coefficients
-    with pytest.raises(InvalidInputError):
-        load_section_json(tmp_path / "nope.json")
-
-
 @pytest.fixture(scope="module")
 def pair():
     return model_pair(n=257, d_A=1, d_L=2)
@@ -176,7 +164,7 @@ def _literal_average_oracle(section, pair):
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
-    meas = DEFAULT_BASE_MEASURE.density(s_nodes) * s_wt
+    meas = base_density(s_nodes) * s_wt
     a = np.exp(pair.phi_A(s_nodes))
     b = np.exp(pair.phi_L(s_nodes))
     r, r_wt = _fiber_quadrature()

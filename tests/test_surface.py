@@ -1,0 +1,33 @@
+"""The public surface: every exported name resolves and the demos still run
+against the current API."""
+
+import importlib
+import pathlib
+import pkgutil
+import runpy
+
+import pytest
+
+import envlab
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_every_exported_name_resolves():
+    modules = [envlab] + [importlib.import_module(f"envlab.{info.name}")
+                          for info in pkgutil.iter_modules(envlab.__path__)]
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert not missing
+
+
+# 02_family_and_gap.py is left out: its dense 2-d envelope on a 96 x 513 grid
+# takes about 20 s, too long for tier-1 until the 2-d envelope is near-linear.
+@pytest.mark.parametrize("name", ["01_envelopes.py", "03_fiber_calculus.py",
+                                  "04_sections.py", "05_gluing_hirzebruch.py"])
+def test_demo_runs(name):
+    try:
+        runpy.run_path(str(DEMOS / name), run_name="__main__")
+    except SystemExit as exc:
+        assert exc.code == 0
