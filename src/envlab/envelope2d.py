@@ -16,7 +16,22 @@ Lucet 1997).  :func:`equilibrium_envelope_2d` collects every such vertex:
 (c) the vertices of P.
 
 u* is then evaluated exactly at every candidate slope, so each candidate
-plane is a minorant of u at every node by construction.
+plane is a minorant of u at every node by construction.  The evaluation
+separates the axes, the 2-d step of Lucet's linear-time Legendre
+transform (Lucet 1997, Numerical Algorithms 16):
+
+    u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)),
+    c_j(sigma_1) = max_i (sigma_1 tau_i - u_ij),
+
+where each c_j is the 1-d upper line envelope of grid column j, so u* costs
+one stack pass per column and one binary search per candidate and column
+instead of a plane maximum over every node.
+
+The back transform is localized.  A lower-hull facet whose gradient lies in
+P carries a plane that is an admissible competitor (affine, gradient in P,
+below u at every node) and touches u at the facet's vertices, so the
+envelope equals u at those nodes exactly; only the remaining nodes take the
+maximum over every candidate plane.
 
 The independent oracle :func:`hull_envelope_2d` evaluates the lower-hull
 facet planes themselves and ignores P.
@@ -45,29 +60,55 @@ def _node_arrays(w: SampledWeight2D):
 
 
 def _lower_facet_planes(nodes, uu):
-    """Gradients (k, 2) and offsets (k,) of the lower-hull facet planes."""
+    """Gradients (k, 2), offsets (k,) and node indices (k, m) of the
+    lower-hull facets."""
     try:
-        eqs = ConvexHull(np.column_stack([nodes, uu]), qhull_options="Qt").equations
+        hull = ConvexHull(np.column_stack([nodes, uu]), qhull_options="Qt")
     except QhullError as exc:
         if "QH6154" not in str(exc):
             raise InvalidInputError(f"Qhull failed on the lifted grid: {exc}") from exc
         # Flat initial simplex.  The grid has at least two points per axis,
-        # so a coplanar lifted cloud means u is affine: one plane.
+        # so a coplanar lifted cloud means u is affine: one plane through
+        # every node.
         coef = np.linalg.lstsq(np.column_stack([nodes, np.ones_like(uu)]), uu,
                                rcond=None)[0]
-        return coef[None, :2], coef[2:]
-    lower = eqs[eqs[:, 2] < -1e-12]
-    return -lower[:, :2] / lower[:, 2:3], -lower[:, 3] / lower[:, 2]
+        return coef[None, :2], coef[2:], np.arange(uu.size)[None, :]
+    is_lower = hull.equations[:, 2] < -1e-12
+    lower = hull.equations[is_lower]
+    return (-lower[:, :2] / lower[:, 2:3], -lower[:, 3] / lower[:, 2],
+            hull.simplices[is_lower])
 
 
 def _max_of_planes(grad, offset, pts):
-    """max_k (grad_k . p + offset_k) at every row p of ``pts``, chunked."""
+    """max_k (grad_k . p + offset_k) at every row p of ``pts``.
+
+    One matrix product per chunk of planes, with the offset carried as a
+    third coordinate against a row of ones; chunks of about 1 MB are
+    reduced while they are still in cache.
+    """
     out = np.full(pts.shape[0], -np.inf)
-    chunk = max(1, int(2**23 // pts.shape[0]))
+    planes = np.column_stack([grad, offset])
+    lifted = np.vstack([pts.T, np.ones(pts.shape[0])])
+    chunk = max(1, 2**17 // max(pts.shape[0], 1))
     for k in range(0, offset.size, chunk):
-        block = grad[k:k + chunk] @ pts.T
-        block += offset[k:k + chunk, None]
-        out = np.maximum(out, block.max(axis=0))
+        np.maximum(out, (planes[k:k + chunk] @ lifted).max(axis=0), out=out)
+    return out
+
+
+def _conjugate(w: SampledWeight2D, sigmas):
+    """u*(sigma) at every row of ``sigmas``, one grid column at a time.
+
+    u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)), where c_j is the exact
+    1-d conjugate of column j over tau: the upper envelope of the lines
+    sigma_1 -> tau_i sigma_1 - u_ij, read off by one binary search.
+    """
+    sig1, sig2 = sigmas[:, 0], sigmas[:, 1]
+    out = np.full(sig1.size, -np.inf)
+    for j, s in enumerate(w.grid_s.tolist()):
+        col = w.values[:, j]
+        keep, cross = _upper_line_envelope(w.grid_tau, -col)
+        act = keep[np.searchsorted(cross, sig1, side="right")]
+        np.maximum(out, sig1 * w.grid_tau[act] - col[act] + sig2 * s, out=out)
     return out
 
 
@@ -94,6 +135,25 @@ def _edge_kinks(p, q, nodes, uu):
     return p + lam[:, None] * d
 
 
+def _candidates(poly, nodes, uu):
+    """Candidate slopes (a)-(c), and the nodes where the envelope is u."""
+    cand = [poly]
+    exact = np.zeros(uu.size, dtype=bool)
+    if poly.shape[0] >= 3:
+        # a segment or point P has no interior, so (b) and (c) suffice
+        grad, _, simplices = _lower_facet_planes(nodes, uu)
+        inside = _in_polygon(grad, poly)
+        cand.append(grad[inside])
+        # an in-P facet plane is an admissible minorant touching u at the
+        # facet's vertices
+        exact[simplices[inside].ravel()] = True
+        edges = zip(poly, np.roll(poly, -1, axis=0))
+    else:
+        edges = zip(poly[:-1], poly[1:])
+    cand += [_edge_kinks(p, q, nodes, uu) for p, q in edges]
+    return np.unique(np.concatenate(cand), axis=0), exact
+
+
 def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
     """Largest convex minorant of u with gradient in ``w.slope_polytope``.
 
@@ -101,20 +161,12 @@ def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
     along every grid line.
     """
     nodes, uu = _node_arrays(w)
-    poly = w.slope_polytope
-    cand = [poly]
-    if poly.shape[0] >= 3:
-        # a segment or point P has no interior, so (b) and (c) suffice
-        grad, _ = _lower_facet_planes(nodes, uu)
-        cand.append(grad[_in_polygon(grad, poly)])
-        edges = zip(poly, np.roll(poly, -1, axis=0))
-    else:
-        edges = zip(poly[:-1], poly[1:])
-    cand += [_edge_kinks(p, q, nodes, uu) for p, q in edges]
-    cand = np.unique(np.concatenate(cand), axis=0)
-    ustar = _max_of_planes(nodes, -uu, cand)
-    env = _max_of_planes(cand, -ustar, nodes)
-    return w.with_values(np.minimum(env, uu).reshape(w.values.shape))
+    cand, exact = _candidates(w.slope_polytope, nodes, uu)
+    rest = ~exact
+    env = uu.copy()
+    back = _max_of_planes(cand, -_conjugate(w, cand), nodes[rest])
+    env[rest] = np.minimum(back, uu[rest])
+    return w.with_values(env.reshape(w.values.shape))
 
 
 def hull_envelope_2d(w: SampledWeight2D) -> np.ndarray:
@@ -124,7 +176,7 @@ def hull_envelope_2d(w: SampledWeight2D) -> np.ndarray:
     envelope gradients stay inside the polytope.
     """
     nodes, uu = _node_arrays(w)
-    grad, offset = _lower_facet_planes(nodes, uu)
+    grad, offset, _ = _lower_facet_planes(nodes, uu)
     # each lower facet plane supports the hull from below, so the hull
     # function is the max of the facet planes
     out = _max_of_planes(grad, offset, nodes)

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .envelope2d import grid_line_defects
 from .errors import EnvlabError, GluingError, InvalidInputError, InvalidParameterError
@@ -134,13 +133,31 @@ class GlueRegion:
                 f"[{self.tau_boundary_inner}, {self.tau_boundary_outer}]")
 
 
+def _turn(o, a, b):
+    """Cross product (a - o) x (b - o); positive on a counter-clockwise turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
 def _merged_polytope(a, b):
+    """Vertices of the convex hull of both polytopes, by a monotone chain.
+
+    When all vertices are collinear or coincide, the distinct ones are
+    returned in sorted order.
+    """
     pts = np.vstack([a, b])
-    try:
-        hull = ConvexHull(pts)
-        return pts[hull.vertices]
-    except QhullError:  # collinear or coincident vertices
-        return pts[np.unique(pts.round(12), axis=0, return_index=True)[1]]
+    pts = pts[np.unique(pts.round(12), axis=0, return_index=True)[1]].tolist()
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            # pop on a clockwise or straight turn, so collinear points drop
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(pts[::-1])
+    return np.array(hull if len(hull) >= 3 else pts)
 
 
 def glue_weights(outer: SampledWeight2D, inner: SampledWeight2D,

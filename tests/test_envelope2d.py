@@ -9,6 +9,8 @@ import envlab.envelope2d
 from envlab import (InvalidInputError, SampledWeight2D,
                     equilibrium_envelope_2d, grid_line_defects,
                     hull_envelope_2d, naive_fibered_weight)
+from envlab.envelope2d import (_candidates, _in_polygon, _lower_facet_planes,
+                               _node_arrays)
 from conftest import model_pair
 
 BOX = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -124,6 +126,60 @@ def test_degenerate_inputs_match_lp_oracle(vals, poly):
     oracle = _lp_envelope(w, range(vals.size)).reshape(vals.shape)
     assert np.abs(env - oracle).max() <= 1e-9
     assert (env - vals).max() <= 1e-12
+
+
+def _dense_two_pass(w):
+    """Oracle: the same candidate slopes, with u* a plane maximum over every
+    node and the back transform a plane maximum over every candidate."""
+    nodes, uu = _node_arrays(w)
+    cand, _ = _candidates(w.slope_polytope, nodes, uu)
+    blocks = range(0, cand.shape[0], 256)
+    ustar = np.concatenate([(cand[k:k + 256] @ nodes.T - uu).max(axis=1)
+                            for k in blocks])
+    env = np.max([(cand[k:k + 256] @ nodes.T - ustar[k:k + 256, None]).max(axis=0)
+                  for k in blocks], axis=0)
+    return np.minimum(env, uu).reshape(w.values.shape)
+
+
+def _in_p_facet_vertices(w):
+    """Flat indices of the vertices of lower facets with gradient in P
+    (none when P is a segment or a point)."""
+    if w.slope_polytope.shape[0] < 3:
+        return np.empty(0, dtype=int)
+    nodes, uu = _node_arrays(w)
+    grad, _, simplices = _lower_facet_planes(nodes, uu)
+    return np.unique(simplices[_in_polygon(grad, w.slope_polytope)])
+
+
+def _naive_64():
+    return naive_fibered_weight(model_pair(n=64, d_A=2, d_L=1),
+                                np.linspace(-30.0, 10.0, 64))
+
+
+@pytest.mark.parametrize("make", [
+    _naive_64,
+    lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.2, -0.5], [0.9, 0.4]]),
+    lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.3, 0.1]]),
+], ids=["naive-cayley-64", "segment-P", "point-P"])
+def test_matches_dense_two_pass(make):
+    w = make()
+    env = equilibrium_envelope_2d(w).values
+    scale = max(1.0, float(np.abs(w.values).max()))
+    assert np.abs(env - _dense_two_pass(w)).max() <= 1e-12 * scale
+    assert np.all(env <= w.values)
+    exact = _in_p_facet_vertices(w)
+    assert np.array_equal(env.ravel()[exact], w.values.ravel()[exact])
+
+
+def test_every_node_exact():
+    t, s, (tt, ss) = _grid2d(n=6, span=1.0)
+    # strictly convex with gradients inside 3 * BOX: every node is a vertex
+    # of an in-P lower facet, so no node is left for the back transform
+    w = SampledWeight2D(t, s, tt ** 2 + ss ** 2, 3.0 * BOX)
+    assert _in_p_facet_vertices(w).size == w.values.size
+    env = equilibrium_envelope_2d(w).values
+    assert np.array_equal(env, w.values)
+    assert np.abs(env - _dense_two_pass(w)).max() <= 1e-12 * w.values.max()
 
 
 def test_other_qhull_errors_become_invalid_input(monkeypatch):

@@ -159,6 +159,23 @@ def test_glue_merges_collinear_segment_polytopes():
         [(2.0, 0.0), (2.0, 0.5), (2.0, 1.0), (2.0, 2.0)]
 
 
+def test_glue_merges_polytopes_into_their_hull():
+    outer, inner, tau, s = _weights2d()
+    # (0, 2) is shared with the outer square and (1, -2), (1, 2) lie on its
+    # edges, so neither may come back as a vertex
+    inner = SampledWeight2D(tau, s, inner.values,
+                            [[1.0, -2.0], [4.0, 0.0], [1.0, 2.0], [0.0, 2.0]])
+    glued = glue_weights(outer, inner, GlueRegion(-1.0, 1.0),
+                         RegularizedMaxKernel(0.2))
+    assert sorted(map(tuple, glued.slope_polytope)) == \
+        [(0.0, -2.0), (0.0, 2.0), (2.0, -2.0), (2.0, 2.0), (4.0, 0.0)]
+    point = [[1.0, 0.5]]
+    glued = glue_weights(SampledWeight2D(tau, s, outer.values, point),
+                         SampledWeight2D(tau, s, inner.values, point),
+                         GlueRegion(-1.0, 1.0), RegularizedMaxKernel(0.2))
+    assert glued.slope_polytope.tolist() == point
+
+
 def test_glue_translation_covariance():
     outer, inner, tau, s = _weights2d()
     region = GlueRegion(-1.0, 1.0)

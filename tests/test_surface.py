@@ -22,10 +22,9 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-# 02_family_and_gap.py is left out: its dense 2-d envelope on a 96 x 513 grid
-# takes about 20 s, too long for tier-1 until the 2-d envelope is near-linear.
-@pytest.mark.parametrize("name", ["01_envelopes.py", "03_fiber_calculus.py",
-                                  "04_sections.py", "05_gluing_hirzebruch.py"])
+@pytest.mark.parametrize("name", ["01_envelopes.py", "02_family_and_gap.py",
+                                  "03_fiber_calculus.py", "04_sections.py",
+                                  "05_gluing_hirzebruch.py"])
 def test_demo_runs(name):
     try:
         runpy.run_path(str(DEMOS / name), run_name="__main__")
