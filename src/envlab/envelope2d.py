@@ -25,7 +25,8 @@ transform (Lucet 1997, Numerical Algorithms 16):
 
 where each c_j is the 1-d upper line envelope of grid column j, so u* costs
 one stack pass per column and one binary search per candidate and column
-instead of a plane maximum over every node.
+instead of a plane maximum over every node.  With the axes swapped the same
+holds row by row; the loop runs over whichever axis has fewer nodes.
 
 The back transform is localized.  A lower-hull facet whose gradient lies in
 P carries a plane that is an admissible competitor (affine, gradient in P,
@@ -35,12 +36,15 @@ maximum over every candidate plane.
 
 The independent oracle :func:`hull_envelope_2d` evaluates the lower-hull
 facet planes themselves and ignores P.
+
+scipy is imported on first use, by the Qhull call that both routes share,
+so importing this module (and the CLI commands that never reach a 2-d
+envelope) costs numpy time only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .envelope import _upper_line_envelope
 from .errors import InvalidInputError
@@ -62,6 +66,8 @@ def _node_arrays(w: SampledWeight2D):
 def _lower_facet_planes(nodes, uu):
     """Gradients (k, 2), offsets (k,) and node indices (k, m) of the
     lower-hull facets."""
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(np.column_stack([nodes, uu]), qhull_options="Qt")
     except QhullError as exc:
@@ -96,19 +102,25 @@ def _max_of_planes(grad, offset, pts):
 
 
 def _conjugate(w: SampledWeight2D, sigmas):
-    """u*(sigma) at every row of ``sigmas``, one grid column at a time.
+    """u*(sigma) at every row of ``sigmas``, one grid line at a time.
 
     u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)), where c_j is the exact
     1-d conjugate of column j over tau: the upper envelope of the lines
-    sigma_1 -> tau_i sigma_1 - u_ij, read off by one binary search.
+    sigma_1 -> tau_i sigma_1 - u_ij, read off by one binary search.  The
+    roles of the axes swap when tau has fewer nodes than s, so the loop
+    runs over the shorter axis (columns on a tie).
     """
-    sig1, sig2 = sigmas[:, 0], sigmas[:, 1]
-    out = np.full(sig1.size, -np.inf)
-    for j, s in enumerate(w.grid_s.tolist()):
-        col = w.values[:, j]
-        keep, cross = _upper_line_envelope(w.grid_tau, -col)
-        act = keep[np.searchsorted(cross, sig1, side="right")]
-        np.maximum(out, sig1 * w.grid_tau[act] - col[act] + sig2 * s, out=out)
+    grid_in, grid_out, values = w.grid_tau, w.grid_s, w.values
+    sig_in, sig_out = sigmas[:, 0], sigmas[:, 1]
+    if w.grid_tau.size < w.grid_s.size:
+        grid_in, grid_out, values = w.grid_s, w.grid_tau, w.values.T
+        sig_in, sig_out = sig_out, sig_in
+    out = np.full(sig_in.size, -np.inf)
+    for j, x in enumerate(grid_out.tolist()):
+        line = values[:, j]
+        keep, cross = _upper_line_envelope(grid_in, -line)
+        act = keep[np.searchsorted(cross, sig_in, side="right")]
+        np.maximum(out, sig_in * grid_in[act] - line[act] + sig_out * x, out=out)
     return out
 
 

@@ -24,6 +24,9 @@ The adaptive quadratures call their integrands once per node, so the
 integrands run on Python floats (a, b converted once); the arithmetic is
 the same IEEE double arithmetic as :meth:`FiberMeasure.density`, which
 stays vectorized for array callers.
+
+scipy's ``quad`` is imported on first use, inside the quadratures, so
+importing this module costs numpy time only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidInputError, InvalidParameterError, PrecisionError
 from .report import VerificationReport
@@ -83,6 +85,7 @@ def _scalar_density(m: FiberMeasure):
 
 def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
     """Adaptive quadrature over (0, inf) via the substitution r = tan(pi theta / 2)."""
+    from scipy.integrate import quad
 
     def g(theta):
         c = math.cos(math.pi * theta / 2.0)
@@ -134,6 +137,8 @@ def oracle_normalization(use_quadrature: bool = False) -> float:
 
 def bergman_fiber_integral(m: FiberMeasure, t: float, tol: float = 1e-10) -> float:
     """-log of the weighted fiber moment I(t); see the module docstring."""
+    from scipy.integrate import quad
+
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise InvalidParameterError(f"t must lie in [0, 1], got {t}")

@@ -31,6 +31,7 @@ against the fibered envelope weight built by the family module.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -200,17 +201,24 @@ def _bump(s, center=1.0, height=0.75, width=1.0):
 _DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
 
 
-def _config_number(config, key, convert, default=None):
-    """``convert(config[key])`` as a typed config error; ``default`` (when
-    given) stands in for an absent key."""
+def _config_number(config, key, kind, default=None):
+    """``config[key]`` as ``kind`` (int or float), or a typed config error;
+    ``default`` (when given) stands in for an absent key.  Booleans and
+    strings are not numbers, and an int key takes integral values only."""
     if default is None and key not in config:
         raise InvalidParameterError(f"config needs key {key!r}")
     value = config.get(key, default)
+    not_a_number = InvalidParameterError(
+        f"config {key} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise not_a_number
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidParameterError(
-            f"config {key} must be a finite number, got {value!r}") from exc
+        number = kind(value)
+    except (ValueError, OverflowError) as exc:
+        raise not_a_number from exc
+    if kind is int and number != value:
+        raise InvalidParameterError(f"config {key} must be an integer, got {value!r}")
+    return number
 
 
 def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:

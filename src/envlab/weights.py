@@ -9,6 +9,7 @@ plurisubharmonicity.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -177,8 +178,12 @@ def save_weight_csv(w: SampledWeight, path) -> None:
 def load_weight_csv(path) -> SampledWeight:
     path = str(path)
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
+        with warnings.catch_warnings():
+            # numpy warns "input contained no data" on an empty file; that
+            # is a parse failure like any other
+            warnings.simplefilter("error", UserWarning)
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError, UserWarning) as exc:
         raise InvalidInputError(f"cannot parse weight CSV {path}: {exc}") from exc
     if raw.shape[1] != 2:
         raise InvalidInputError(f"weight CSV {path} must have two columns s,u")

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from envlab import cli
 from envlab.cli import (RunManifest, export_plot_data, export_report,
                         load_plot_data, main, run)
 from envlab.report import VerificationReport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _convex_csv(tmp_path):
@@ -46,6 +51,22 @@ def test_envelope_command_missing_input(tmp_path):
     code = main(["envelope", "--input", str(tmp_path / "nope.csv"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+def test_envelope_command_empty_input(tmp_path):
+    # a fresh process, so a warning numpy prints would reach its stderr
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    (tmp_path / "empty.csv.json").write_text(
+        json.dumps({"slope_left": 0.0, "slope_right": 1.0}))
+    done = subprocess.run(
+        [sys.executable, "-m", "envlab.cli", "envelope", "--input", str(path),
+         "--out", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 def test_bad_tolerance_flag(tmp_path):
@@ -96,6 +117,17 @@ def test_glue_demo_with_config(tmp_path):
     for name in ("glued", "outer", "inner"):
         assert (tmp_path / f"{name}.csv").exists()
         assert (tmp_path / f"{name}.dat").exists()
+
+
+def test_glue_demo_integral_floats(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3.0, "grid": 48.0, "epsilon": 1}))
+    code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "hirzebruch-gluing.json").read_text())
+    assert report["grid"] == {"tau_points": 48, "s_points": 48}
+    assert report["details"]["k"] == 3 and type(report["details"]["k"]) is int
+    assert type(report["details"]["epsilon"]) is float
 
 
 def test_report_determinism(tmp_path):
@@ -221,8 +253,19 @@ def test_plot_data_matches_per_element_format(tmp_path):
     ({"epsilon": "wide"}, "config", "config epsilon must be a finite number"),
     ({"grid": 2}, "normalize", "grid=2"),
     ({"grid": -1}, "config", "grid must be >= 2"),
+    ({"k": 2.5}, "config", "config k must be an integer, got 2.5"),
+    ({"d_A": 1.5}, "config", "config d_A must be an integer"),
+    ({"d_L": 0.5}, "config", "config d_L must be an integer"),
+    ({"grid": 16.5}, "config", "config grid must be an integer"),
+    ({"k": True}, "config", "config k must be a finite number, got True"),
+    ({"grid": False}, "config", "config grid must be a finite number"),
+    ({"k": "3"}, "config", "config k must be a finite number, got '3'"),
+    ({"epsilon": "0.5"}, "config", "config epsilon must be a finite number"),
+    ({"epsilon": True}, "config", "config epsilon must be a finite number"),
 ], ids=["not-an-object", "null-value", "non-numeric-value", "empty-annulus",
-        "negative-grid"])
+        "negative-grid", "fractional-k", "fractional-d_A", "fractional-d_L",
+        "fractional-grid", "boolean-k", "boolean-grid", "string-k",
+        "string-epsilon", "boolean-epsilon"])
 def test_glue_demo_bad_config(tmp_path, capsys, config, stage, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-import envlab.envelope2d
 from envlab import (InvalidInputError, SampledWeight2D,
                     equilibrium_envelope_2d, grid_line_defects,
                     hull_envelope_2d, naive_fibered_weight)
@@ -156,11 +155,22 @@ def _naive_64():
                                 np.linspace(-30.0, 10.0, 64))
 
 
+def _bumpy_rect(n_t, n_s):
+    """Non-square grid, so u* loops over the shorter axis (rows when
+    n_t < n_s)."""
+    t, s = np.linspace(-1.5, 1.0, n_t), np.linspace(-2.0, 2.5, n_s)
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    vals = 0.4 * (tt ** 2 + ss ** 2) + np.sin(3.0 * tt * ss) + 0.2 * np.cos(5.0 * ss)
+    return SampledWeight2D(t, s, vals, [[-1.0, -1.5], [1.2, -0.5], [0.4, 1.3]])
+
+
 @pytest.mark.parametrize("make", [
     _naive_64,
     lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.2, -0.5], [0.9, 0.4]]),
     lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.3, 0.1]]),
-], ids=["naive-cayley-64", "segment-P", "point-P"])
+    lambda: _bumpy_rect(7, 23),
+    lambda: _bumpy_rect(23, 7),
+], ids=["naive-cayley-64", "segment-P", "point-P", "rows-7x23", "columns-23x7"])
 def test_matches_dense_two_pass(make):
     w = make()
     env = equilibrium_envelope_2d(w).values
@@ -186,7 +196,7 @@ def test_other_qhull_errors_become_invalid_input(monkeypatch):
     def fail(*args, **kwargs):
         raise QhullError("QH6019 qhull input error")
 
-    monkeypatch.setattr(envlab.envelope2d, "ConvexHull", fail)
+    monkeypatch.setattr("scipy.spatial.ConvexHull", fail)
     t, s, (tt, ss) = _grid2d(n=8)
     w = SampledWeight2D(t, s, tt ** 2 + ss ** 2, BOX)
     with pytest.raises(InvalidInputError):
