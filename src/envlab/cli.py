@@ -55,6 +55,8 @@ class RunManifest:
                                  + ", ".join(TOLERANCE_NAMES))
             if not tol > 0:
                 raise ValueError(f"tolerance {name} must be positive, got {tol}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     def tol(self, check: str) -> float:
         """``check``'s tolerance: its --tol override, else its default."""
@@ -189,8 +191,12 @@ def _cmd_sections(manifest: RunManifest):
 def _cmd_glue(manifest: RunManifest):
     config = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
     if "config" in manifest.inputs:
-        with open(manifest.inputs["config"], "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+        path = manifest.inputs["config"]
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                loaded = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise InvalidInputError(f"config {path} is not JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise InvalidInputError(
                 f"config must be a JSON object, got {type(loaded).__name__}")
@@ -242,7 +248,7 @@ def run(manifest: RunManifest) -> int:
                           wall_time=time.perf_counter() - start)
             reports.append(rep)
             start = time.perf_counter()
-    except (OSError, ValueError, EnvlabError) as exc:
+    except (OSError, EnvlabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for rep in reports:

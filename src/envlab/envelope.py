@@ -5,19 +5,36 @@ below u whose derivative stays in I.  Two independent routes are provided:
 
 * :func:`equilibrium_envelope` goes through Legendre duality.  The conjugate
   u* is assembled exactly as the upper envelope of the lines
-  ``sigma -> sigma * s_i - u_i`` (convex-hull-trick stack over crossing
-  points), and the back transform maximises ``sigma * s - u*(sigma)`` over
-  the kinks of u* clipped to I.  Both steps are exact for sampled data, so
-  the route carries no slope-discretization error.
+  ``sigma -> sigma * s_i - u_i``, and the back transform maximises
+  ``sigma * s - u*(sigma)`` over the kinks of u* clipped to I.  Both steps
+  are exact for sampled data, so the route carries no slope-discretization
+  error.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   by a monotone chain with cross-product predicates and then clamps the
   hull slopes to I.  It serves as the independent oracle.
 
-Both stacks convert their inputs to lists of Python floats before the loop:
-indexing a list is several times cheaper than pulling numpy scalars one at
-a time, and a Python float is an IEEE double, so every comparison and
-division gives the same bits as numpy float64 arithmetic.
+The line envelope merges convex runs.  One vectorized pass computes the
+crossings of neighbouring lines and drops every line at which they do not
+strictly increase, since such a line is never on the envelope.  When no
+line drops (the weight's chord slopes strictly increase) that pass is the
+whole computation.  Otherwise the lines left fall into runs of consecutive
+lines, each its own envelope, and the runs are merged left to right: the
+bridge from the envelope so far into the next run is found by galloping
+down the envelope and into the run, and the rest of the run joins as one
+segment.  Equal slopes first reduce, without a loop, to the group's first
+line with the top intercept.  Every decision compares two crossings
+computed as a one-line-at-a-time stack computes them, so the kept lines and
+crossings are that stack's, bit for bit, whenever rounding keeps the
+crossings of near-collinear lines in order; lines collinear to within an
+ulp may keep a different one of the lines that only touch the envelope.
+The tests hold the stack as the differential oracle.
+
+The monotone chain walks every point.  It converts its inputs to lists of
+Python floats before the loop: indexing a list is several times cheaper
+than pulling numpy scalars one at a time, and a Python float is an IEEE
+double, so every comparison gives the same bits as numpy float64
+arithmetic.
 
 Affine extrapolation tails never cut below either construction as long as
 I sits inside [slope_left, slope_right], which is enforced.
@@ -66,31 +83,122 @@ def _upper_line_envelope(slopes, intercepts):
     intercept.  Returns (kept indices, crossing points between consecutive
     kept lines).
     """
-    slopes = np.asarray(slopes, dtype=float).tolist()
-    intercepts = np.asarray(intercepts, dtype=float).tolist()
-    keep: list[int] = []
-    cross: list[float] = []
-    for i in range(len(slopes)):
-        while keep:
-            j = keep[-1]
-            if slopes[i] == slopes[j]:
-                if intercepts[i] <= intercepts[j]:
-                    break
-                keep.pop()
-                if cross:
-                    cross.pop()
-                continue
-            x = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
-            if cross and x <= cross[-1]:
-                keep.pop()
-                cross.pop()
-                continue
-            keep.append(i)
-            cross.append(x)
+    m = np.asarray(slopes, dtype=float)
+    b = np.asarray(intercepts, dtype=float)
+    idx = np.arange(m.size)
+    same = m[1:] == m[:-1]
+    if same.any():
+        # an equal-slope group stands as its first line with the top intercept
+        new_line = np.concatenate(([True], ~same | (b[1:] != b[:-1])))
+        first = np.flatnonzero(new_line)
+        last = np.append(first[1:], m.size) - 1
+        idx = first[np.append(~same, True)[last]]
+        m, b = m[idx], b[idx]
+    # Crossings of neighbouring lines.  Where they fail to increase strictly
+    # the middle line never reaches the envelope; what is left falls into
+    # runs of consecutive lines that are each their own envelope.
+    x = (b[:-1] - b[1:]) / (m[1:] - m[:-1])
+    up = x[1:] > x[:-1]
+    if up.all():
+        return idx, x
+    alive = np.concatenate(([True], up, [True]))
+    # alive turns off after each run's last line and on at the next run's first
+    flips = np.flatnonzero(alive[1:] != alive[:-1])
+    starts, ends, bridges = _merge_runs(m, b, x, (flips[1::2] + 1).tolist(),
+                                        flips[::2].tolist() + [m.size - 1])
+    # segment s holds lines starts[s]..ends[s]; where segments meet the
+    # crossing is the bridge, elsewhere the neighbour crossing
+    starts, ends = np.array(starts), np.array(ends)
+    size = ends - starts + 1
+    off = np.cumsum(size)
+    keep = np.arange(off[-1]) + np.repeat(starts - off + size, size)
+    cross = x[keep[1:] - 1]
+    cross[off[:-1] - 1] = bridges
+    return idx[keep], cross
+
+
+def _first_false(pred, start, stop):
+    """First index from ``start`` toward ``stop`` where ``pred`` fails.
+
+    ``pred`` holds at ``start``, fails at ``stop`` and changes once in
+    between; steps of 1, 2, 4, ... bracket the change and bisection finds
+    it, so a change k steps away costs O(log k) calls.
+    """
+    step = 1 if stop > start else -1
+    last = start
+    while True:
+        probe = last + step
+        if (stop - probe) * step <= 0:
+            probe = stop
             break
+        if not pred(probe):
+            break
+        last, step = probe, 2 * step
+    while abs(probe - last) > 1:
+        mid = (probe + last) // 2
+        if pred(mid):
+            last = mid
         else:
-            keep.append(i)
-    return np.array(keep, dtype=int), np.array(cross, dtype=float)
+            probe = mid
+    return probe
+
+
+def _merge_runs(m, b, x, run_a, run_e):
+    """Merge runs of lines, left to right, into their upper envelope.
+
+    Run r holds lines run_a[r]..run_e[r] (the first run starts at line 0),
+    and the neighbour crossings ``x`` strictly increase along each run.
+    The envelope so far is a list of segments A[s]..E[s] of consecutive
+    lines, segment s entered at crossing XS[s - 1].  Each run pops what its
+    bridge line covers, found by galloping down the envelope and into the
+    run, and its remaining lines join as one segment.  Each decision
+    compares crossings computed as the one-line-at-a-time stack computes
+    them.  Returns A, E, XS.
+    """
+    # memoryview indexing yields Python floats without converting every line
+    m, b, x = memoryview(m), memoryview(b), memoryview(x)
+    A, E, XS = [0], [run_e[0]], []
+
+    def cross(k, q):
+        return (b[k] - b[q]) / (m[q] - m[k])
+
+    def foot(q, s, k):
+        """Top (segment, line) once line q has popped, from top (s, k),
+        every line it covers, and the crossing of q with that line."""
+        while True:
+            a = A[s]
+            c = cross(k, q)
+            if k == a:
+                if s == 0 or c > XS[s - 1]:
+                    return s, k, c
+            elif c > x[k - 1]:
+                return s, k, c
+            elif s == 0 or cross(a, q) > XS[s - 1]:
+                k = _first_false(lambda p: cross(p, q) <= x[p - 1], k, a)
+                return s, k, cross(k, q)
+            s -= 1
+            k = E[s]
+
+    def popped(q):
+        """Line q + 1 covers line q once q has bridged to the envelope."""
+        nonlocal base
+        s, k, c = foot(q, *base)
+        if x[q] <= c:
+            base = s, k
+            return True
+        return False
+
+    for a, e in zip(run_a, run_e[1:]):
+        s, k, c = foot(a, len(A) - 1, E[-1])
+        q = a
+        if a < e and x[a] <= c:
+            base = s, k
+            q = _first_false(popped, a, e)
+            s, k, c = foot(q, *base)
+        A[s + 1:] = [q]
+        E[s:] = [k, e]
+        XS[s:] = [c]
+    return A, E, XS
 
 
 def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:

@@ -24,9 +24,10 @@ transform (Lucet 1997, Numerical Algorithms 16):
     c_j(sigma_1) = max_i (sigma_1 tau_i - u_ij),
 
 where each c_j is the 1-d upper line envelope of grid column j, so u* costs
-one stack pass per column and one binary search per candidate and column
-instead of a plane maximum over every node.  With the axes swapped the same
-holds row by row; the loop runs over whichever axis has fewer nodes.
+one line-envelope pass per column and one binary search per candidate and
+column instead of a plane maximum over every node.  With the axes swapped
+the same holds row by row; the loop runs over whichever axis has fewer
+nodes.
 
 The back transform is localized.  A lower-hull facet whose gradient lies in
 P carries a plane that is an admissible competitor (affine, gradient in P,

@@ -162,16 +162,20 @@ def check_right_continuity(fc: FamilyCurve, t_values=None,
                            tol: float = 1e-9) -> VerificationReport:
     """Residuals |psi_{t+d}/(1-t-d) - psi_t/(1-t)| must decay as d halves.
 
-    Fresh envelopes are computed at each offset t + d; the report records
-    the residual ladder and the fitted dyadic decay rate.
+    psi_t comes from the family when t is on its grid; fresh envelopes are
+    computed at each offset t + d.  The report records the residual ladder
+    and the fitted dyadic decay rate.
     """
     if t_values is None:
         interior = fc.t_grid[(fc.t_grid > 0.0) & (fc.t_grid + _DELTAS[0] < 1.0)]
         t_values = interior[:: max(1, interior.size // 8)]
+    # psi_t on the family's own grid is already computed, the same way
+    on_grid = dict(zip(fc.t_grid.tolist(), fc.psi))
     ladders = {}
     worst_increase = 0.0
     for t in np.asarray(t_values, dtype=float):
-        base = envelope_offset(fc.pair, t).values / (1.0 - t)
+        psi = on_grid[t] if t in on_grid else envelope_offset(fc.pair, t)
+        base = psi.values / (1.0 - t)
         resid = []
         for d in _DELTAS:
             ahead = envelope_offset(fc.pair, t + d).values / (1.0 - t - d)

@@ -32,6 +32,8 @@ def test_manifest_validation():
         RunManifest(command="bogus")
     with pytest.raises(ValueError):
         RunManifest(command="family", tolerances={"family": -1.0})
+    with pytest.raises(ValueError):
+        RunManifest(command="family", seed=-1)
 
 
 def test_envelope_command_convex_fixed_point(tmp_path):
@@ -155,6 +157,32 @@ def test_unregistered_check_is_a_program_fault(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "family", (orphan, "family curve checks"))
     with pytest.raises(KeyError):
         main(["family", "--out", str(tmp_path)])
+
+
+def test_value_error_in_handler_is_a_program_fault(tmp_path, monkeypatch):
+    # a shape or broadcast bug inside a handler is not bad input
+    def broken(manifest):
+        raise ValueError("operands could not be broadcast together")
+        yield
+
+    monkeypatch.setitem(cli.COMMANDS, "family", (broken, "family curve checks"))
+    with pytest.raises(ValueError):
+        main(["family", "--out", str(tmp_path)])
+
+
+def test_negative_seed(tmp_path, capsys):
+    assert main(["fiber-check", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed"), err
+
+
+def test_glue_demo_config_not_json(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad")
+    code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config"), err
 
 
 def test_envelope_manifest_without_input(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from envlab import (SampledWeight, SlopeInterval, UnboundedTransformError,
                     checks, convexity_defect, equilibrium_envelope,
-                    legendre_values)
+                    hull_envelope, legendre_values)
 from envlab.envelope import _monotone_chain_lower, _upper_line_envelope
 from conftest import bumpy_model_weight, piecewise_quadratic_weight
 
@@ -102,6 +102,122 @@ def test_upper_line_envelope_brute_force():
     assert keep.tolist() == [0, 2] and cross.tolist() == [1.0]
 
 
+def _stack_line_envelope(slopes, intercepts):
+    """One line at a time: push each line and pop the lines it covers.
+
+    The route ``_upper_line_envelope`` had before it merged convex runs,
+    kept as its differential oracle.
+    """
+    slopes = np.asarray(slopes, dtype=float).tolist()
+    intercepts = np.asarray(intercepts, dtype=float).tolist()
+    keep, cross = [], []
+    for i in range(len(slopes)):
+        while keep:
+            j = keep[-1]
+            if slopes[i] == slopes[j]:
+                if intercepts[i] <= intercepts[j]:
+                    break
+                keep.pop()
+                if cross:
+                    cross.pop()
+                continue
+            x = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
+            if cross and x <= cross[-1]:
+                keep.pop()
+                cross.pop()
+                continue
+            keep.append(i)
+            cross.append(x)
+            break
+        else:
+            keep.append(i)
+    return np.array(keep, dtype=int), np.array(cross, dtype=float)
+
+
+def _soft_plus(s):
+    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
+
+
+def _noise_weight(rng, n, d, walk):
+    """d * softplus plus white noise, or plus a random walk: many short
+    convex runs."""
+    s = np.linspace(-20.0, 20.0, n)
+    steps = rng.normal(0.0, 0.3 if walk else 0.5, n)
+    u = d * _soft_plus(s) + (np.cumsum(steps) if walk else steps)
+    return SampledWeight(s, u, 0.0, float(d))
+
+
+def _line_cases():
+    """(id, slopes, intercepts) in the order _upper_line_envelope takes."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for n in range(4):
+        cases += [(f"n{n}-distinct", np.arange(n) - 1.0, rng.normal(size=n)),
+                  (f"n{n}-one-slope", np.zeros(n), np.sort(rng.normal(size=n))),
+                  (f"n{n}-one-line", np.ones(n), np.full(n, 2.0))]
+    s = np.arange(-6.0, 7.0)
+    # every line through (-2, 3): only the end slopes are kept
+    cases.append(("collinear", s, 2.0 * s + 3.0))
+    # |s| as dual points: two collinear runs and a corner
+    cases.append(("two-collinear-runs", s, -np.abs(s)))
+    # integer slopes and intercepts with repeats and duplicate lines
+    slopes = rng.integers(-4, 5, 80).astype(float)
+    icpts = rng.integers(-3, 4, 80).astype(float)
+    order = np.lexsort((icpts, slopes))
+    cases.append(("integer-duplicates", slopes[order], icpts[order]))
+    # dual points (s, -c): the bridge from (4, -2) ties exactly with the
+    # crossing into (2, 0), so (2, 0) is popped; small integer walks make
+    # many such exact ties
+    cases.append(("collinear-bridge", np.arange(5.0),
+                  np.array([-4.0, -1.0, 0.0, -5.0, 2.0])))
+    for n in (40, 400):
+        cases.append((f"integer-walk-{n}", np.arange(float(n)),
+                      np.cumsum(rng.integers(-2, 3, n)).astype(float)))
+    for n in (64, 513, 4096):
+        s = np.linspace(-20.0, 20.0, n)
+        cases += [(f"convex-{n}", s, -_soft_plus(s)),
+                  (f"concave-{n}", s, np.sqrt(1.0 + s * s)),
+                  (f"noise-{n}", s, -_noise_weight(rng, n, 1, False).values),
+                  (f"walk-{n}", s, -_noise_weight(rng, n, 2, True).values),
+                  (f"bumpy-{n}", s, -bumpy_model_weight(rng, n, d=2).values)]
+        w = piecewise_quadratic_weight(rng, n=n, d=3)
+        cases.append((f"piecewise-quadratic-{n}", w.grid, -w.values))
+    return cases
+
+
+@pytest.mark.parametrize("slopes, icpts", [pytest.param(s, c, id=name)
+                                           for name, s, c in _line_cases()])
+def test_upper_line_envelope_matches_stack(slopes, icpts):
+    keep, cross = _upper_line_envelope(slopes, icpts)
+    want_keep, want_cross = _stack_line_envelope(slopes, icpts)
+    assert keep.dtype == want_keep.dtype and cross.dtype == want_cross.dtype
+    assert np.array_equal(keep, want_keep)
+    assert np.array_equal(cross, want_cross)
+
+
+def test_upper_line_envelope_matches_stack_on_exact_ties():
+    # integer parabolas with integer dips: every crossing is a small
+    # rational, so bridges tie exactly with crossings on the envelope at
+    # every depth the merge reaches
+    rng = np.random.default_rng(47)
+    for _ in range(300):
+        n = int(rng.integers(8, 60))
+        s = np.arange(float(n))
+        u = (s - rng.integers(0, n)) ** 2 // int(rng.integers(1, 4))
+        u += np.where(rng.random(n) < 0.15, rng.integers(-30, 30, n), 0)
+        keep, cross = _upper_line_envelope(s, -u)
+        want_keep, want_cross = _stack_line_envelope(s, -u)
+        assert np.array_equal(keep, want_keep)
+        assert np.array_equal(cross, want_cross)
+
+
+def test_duplicate_lines_keep_the_first():
+    slopes = np.array([0.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+    icpts = np.array([0.0, 4.0, 5.0, 5.0, 5.0, 0.0])
+    keep, cross = _upper_line_envelope(slopes, icpts)
+    assert keep.tolist() == [0, 2, 5] and cross.tolist() == [-5.0, 5.0]
+
+
 def test_monotone_chain_lower_brute_force():
     rng = np.random.default_rng(11)
     # integer data keeps every cross product exact: |s - 20| is two
@@ -122,15 +238,22 @@ def test_monotone_chain_lower_brute_force():
 
 
 @st.composite
-def bumpy_weights(draw):
+def weights(draw):
+    """Bumpy weights (a few long convex runs), and noise, random-walk and
+    piecewise-quadratic weights (many runs, or long concave stretches)."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     d = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["bumpy", "noise", "walk", "quadratic"]))
     rng = np.random.default_rng(seed)
-    return bumpy_model_weight(rng, n=257, d=d)
+    if kind == "bumpy":
+        return bumpy_model_weight(rng, n=257, d=d)
+    if kind == "quadratic":
+        return piecewise_quadratic_weight(rng, n=257, d=d)
+    return _noise_weight(rng, 257, d, kind == "walk")
 
 
 @settings(max_examples=25, deadline=None)
-@given(bumpy_weights())
+@given(weights())
 def test_envelope_idempotent(w):
     iv = SlopeInterval(0.0, w.slope_right)
     env = equilibrium_envelope(w, iv)
@@ -139,8 +262,7 @@ def test_envelope_idempotent(w):
 
 
 @settings(max_examples=25, deadline=None)
-@given(bumpy_weights(), st.floats(min_value=-5.0, max_value=5.0,
-                                  allow_nan=False))
+@given(weights(), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 def test_envelope_translation_equivariant(w, c):
     iv = SlopeInterval(0.0, w.slope_right)
     a = equilibrium_envelope(w.with_values(w.values + c), iv).values
@@ -149,10 +271,22 @@ def test_envelope_translation_equivariant(w, c):
 
 
 @settings(max_examples=25, deadline=None)
-@given(bumpy_weights())
+@given(weights())
 def test_envelope_monotone_in_weight(w):
     iv = SlopeInterval(0.0, w.slope_right)
     lower = equilibrium_envelope(w, iv).values
     bumped = w.with_values(w.values + np.abs(np.sin(w.grid)))
     upper = equilibrium_envelope(bumped, iv).values
     assert (lower - upper).max() <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(weights())
+def test_dual_routes_agree_on_drawn_weights(w):
+    iv = SlopeInterval(0.0, w.slope_right)
+    a = equilibrium_envelope(w, iv).values
+    b = hull_envelope(w, iv).values
+    assert np.abs(a - b).max() <= 1e-8
+    keep, cross = _upper_line_envelope(w.grid, -w.values)
+    want_keep, want_cross = _stack_line_envelope(w.grid, -w.values)
+    assert np.array_equal(keep, want_keep) and np.array_equal(cross, want_cross)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from envlab import (InvalidParameterError, check_monotone_family,
+from envlab import (FamilyCurve, InvalidParameterError, check_monotone_family,
                     check_right_continuity,
                     equilibrium_envelope, family_curve, fibered_weight,
                     hull_envelope, minimal_singularity_gap, mix_weights,
                     monotone_t_grid, naive_fibered_weight, cayley_polytope,
                     default_t_grid, SlopeInterval)
+from envlab import family
 from conftest import model_pair
 
 
@@ -78,6 +79,21 @@ def test_right_continuity(pair, fc):
     assert rep.passed
     for ladder in rep.details["residuals"].values():
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
+
+
+def test_right_continuity_reuses_family_psi(pair, fc, monkeypatch):
+    # on-grid t takes psi_t from the family: one envelope fewer per t and
+    # the same report as a family whose grid lacks t
+    t_values = fc.t_grid[[20, 50]]
+    off_grid = FamilyCurve(pair, fc.t_grid[:2], fc.psi[:2])
+    fresh = check_right_continuity(off_grid, t_values=t_values)
+    calls = []
+    offset = family.envelope_offset
+    monkeypatch.setattr(family, "envelope_offset",
+                        lambda p, t: calls.append(t) or offset(p, t))
+    rep = check_right_continuity(fc, t_values=t_values)
+    assert len(calls) == 4 * t_values.size
+    assert rep.to_dict() == fresh.to_dict()
 
 
 def test_fibered_weight_structure(pair):
