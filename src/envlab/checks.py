@@ -18,7 +18,7 @@ from . import fiber
 from .envelope import equilibrium_envelope, hull_envelope
 from .gluing import RegularizedMaxKernel, regularized_max
 from .report import VerificationReport
-from .sections import ToricSection, _coefficient_inequality, _parseval_nodes
+from .sections import ToricSection, coefficient_inequality
 from .weights import SlopeInterval
 
 
@@ -131,15 +131,14 @@ def check_fiber_normalization(rng, cases: int, tol: float,
 def check_coefficient_parseval(rng, pair, cases: int,
                                tol: float) -> VerificationReport:
     """Coefficient inequality for ``cases`` random degree-4 sections on ``pair``."""
-    nodes = _parseval_nodes(pair, 4)
     worst = 0.0
     for _ in range(cases):
         coeffs = {}
         while len(coeffs) < rng.integers(1, 7):
             lk = (int(rng.integers(0, 5)), int(rng.integers(0, 3)))
             coeffs[lk] = complex(rng.normal(), rng.normal())
-        worst = max(worst, _coefficient_inequality(
-            ToricSection(4, coeffs), pair, nodes).max_violation)
+        worst = max(worst, coefficient_inequality(
+            ToricSection(4, coeffs), pair).max_violation)
     return VerificationReport(
         check="coefficient-parseval", max_violation=worst, tolerance=tol,
         grid={"cases": cases}, details={"seed": _seed(rng)})

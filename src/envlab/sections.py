@@ -230,30 +230,17 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     Verifies every component <= total and that the components sum to the
     total.
     """
-    return _coefficient_inequality(section, pair,
-                                   _parseval_nodes(pair, section.m), tol)
-
-
-def _parseval_nodes(pair: ModelBundlePair, m: int):
-    """The (s, r) nodes of :func:`coefficient_inequality` and its weight
-    kernel there, fiber density included; they depend on the pair and m
-    only, so a battery on one pair builds them once."""
+    m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
     meas = base_density(s_nodes) * s_wt
     a = np.exp(pair.phi_A(s_nodes))
     b = np.exp(pair.phi_L(s_nodes))
     r, r_wt = _fiber_quadrature()
+    # weight kernel on the (r, s) nodes, including the fiber density
     core = (r[:, None] ** 2 * a[None, :] + b[None, :])
     kernel = core ** (-(m + 2.0)) * (2.0 * r[:, None] * a[None, :] * b[None, :])
     kernel *= r_wt[:, None] * meas[None, :]
-    return s_nodes, r, kernel
 
-
-def _coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
-                            nodes, tol: float = 1e-8) -> VerificationReport:
-    """:func:`coefficient_inequality` on nodes from :func:`_parseval_nodes`."""
-    m = section.m
-    s_nodes, r, kernel = nodes
     by_l: dict[int, dict[int, complex]] = {}
     for (l, k), c in section.coefficients.items():
         by_l.setdefault(l, {})[k] = c

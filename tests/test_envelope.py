@@ -240,7 +240,8 @@ def test_monotone_chain_lower_brute_force():
 @st.composite
 def weights(draw):
     """Bumpy weights (a few long convex runs), and noise, random-walk and
-    piecewise-quadratic weights (many runs, or long concave stretches)."""
+    piecewise-quadratic weights (many runs, or long concave stretches).
+    The properties draw 100 examples, about 25 of each kind."""
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     d = draw(st.integers(min_value=1, max_value=3))
     kind = draw(st.sampled_from(["bumpy", "noise", "walk", "quadratic"]))
@@ -252,7 +253,7 @@ def weights(draw):
     return _noise_weight(rng, 257, d, kind == "walk")
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(weights())
 def test_envelope_idempotent(w):
     iv = SlopeInterval(0.0, w.slope_right)
@@ -261,7 +262,7 @@ def test_envelope_idempotent(w):
     assert np.abs(again.values - env.values).max() <= 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(weights(), st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 def test_envelope_translation_equivariant(w, c):
     iv = SlopeInterval(0.0, w.slope_right)
@@ -270,7 +271,7 @@ def test_envelope_translation_equivariant(w, c):
     assert np.abs(a - b).max() <= 1e-10
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(weights())
 def test_envelope_monotone_in_weight(w):
     iv = SlopeInterval(0.0, w.slope_right)
@@ -280,7 +281,7 @@ def test_envelope_monotone_in_weight(w):
     assert (lower - upper).max() <= 1e-10
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(weights())
 def test_dual_routes_agree_on_drawn_weights(w):
     iv = SlopeInterval(0.0, w.slope_right)

@@ -10,7 +10,7 @@ from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
                     equilibrium_envelope, legendre_values, psi1_approximant,
                     psi2_approximant, unit_boxes)
 from envlab.measures import base_density
-from envlab.sections import _fiber_quadrature, _parseval_nodes, _segment_nodes
+from envlab.sections import _fiber_quadrature, _segment_nodes
 from conftest import bumpy_model_weight, model_pair
 
 
@@ -141,18 +141,8 @@ def test_coefficient_inequality_random(pair, rng, monkeypatch):
     # each section's worst term excess and Parseval mismatch within 1e-8
     assert checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
     broken = VerificationReport("coefficient-parseval", 1e-6, 1e-8)
-    monkeypatch.setattr(checks, "_coefficient_inequality",
-                        lambda s, p, nodes: broken)
+    monkeypatch.setattr(checks, "coefficient_inequality", lambda s, p: broken)
     assert not checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
-
-
-def test_battery_builds_nodes_once(pair, monkeypatch):
-    built = []
-    monkeypatch.setattr(checks, "_parseval_nodes",
-                        lambda p, m: built.append(m) or _parseval_nodes(p, m))
-    assert checks.check_coefficient_parseval(np.random.default_rng(12), pair,
-                                             5, 1e-8).passed
-    assert built == [4]
 
 
 def test_scaling_shifts_log_norm(pair):
