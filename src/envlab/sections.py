@@ -19,14 +19,17 @@ circle averaging in the fiber angle is a Parseval identity: the weighted
 L2 mass of F splits into the masses of its fiber-degree components, so
 each component mass is bounded by the total.  Both sides are integrated
 numerically, the total through literal angle averaging: F itself is
-evaluated at every node of the full (theta, phi) angle grid, one complex
-matrix product (fiber degrees x (phi, s) nodes) per fiber angle theta,
-and |F|^2 is averaged from those values, so the total never shares the
-coefficient algebra of the component side.
+evaluated at every node of the full (theta, phi) angle grid as one real
+matrix product, the real and imaginary parts of the fiber factors
+r^l e^{il theta} for every (theta, r) row against those of the base
+factors for every (phi, s) column, taken over column blocks that stay in
+cache, and |F|^2 is averaged from those values, so the total never shares
+the coefficient algebra of the component side.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,9 +113,18 @@ def psi1_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
     return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(order):
+    """Read-only Gauss-Legendre nodes/weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def _segment_nodes(grid, order=4):
     """Composite Gauss-Legendre nodes/weights over the grid cells."""
-    x, wq = np.polynomial.legendre.leggauss(order)
+    x, wq = _gauss_rule(order)
     mid = 0.5 * (grid[1:] + grid[:-1])
     half = 0.5 * np.diff(grid)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -210,11 +222,14 @@ def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
         details=details)
 
 
+@functools.lru_cache(maxsize=None)
 def _fiber_quadrature(n_cells: int = 24, order: int = 4):
-    """Radial nodes/weights for (0, inf) via r = tan(pi theta / 2)."""
+    """Read-only radial nodes/weights for (0, inf) via r = tan(pi theta / 2)."""
     theta, wq = _segment_nodes(np.linspace(0.0, 1.0, n_cells + 1), order)
     r = np.tan(math.pi * theta / 2.0)
     w = wq * (math.pi / 2.0) / np.cos(math.pi * theta / 2.0) ** 2
+    r.setflags(write=False)
+    w.setflags(write=False)
     return r, w
 
 
@@ -227,8 +242,12 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     the coefficient formula after circle averaging, the total averages
     |F|^2 over both angles by trapezoid (exact for polynomial sections)
     on the same radial/base nodes, with F evaluated at every angle node.
-    Verifies every component <= total and that the components sum to the
-    total.
+    Those values come from one real matrix product, the stacked real and
+    imaginary parts of r^l e^{il theta} on the (theta, r) rows against those
+    of sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns; it runs over
+    column blocks of about 512 KB, each squared and summed over theta
+    while in cache.  Verifies every component <= total and that the
+    components sum to the total.
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
@@ -253,11 +272,12 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
         terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
 
     # literal double-angle average of |F|^2 on the same nodes: F at every
-    # (theta, phi, r, s) node, one complex product per fiber angle theta
+    # (theta, r) row and (phi, s) column as one real product
+    # [[Re z, -Im z], [Im z, Re z]] @ [Re B; Im B] = [Re F; Im F]
     k_max = max(k for (_, k) in section.coefficients)
     n_theta = 2 * m + 3
     n_phi = 2 * k_max + 3
-    n_s = s_nodes.size
+    n_r, n_s = r.size, s_nodes.size
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     degrees = np.array(sorted(by_l))
@@ -267,15 +287,27 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
         for k, c in by_l[l].items():
             base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
     base = base.reshape(degrees.size, n_phi * n_s)
-    radial = r[:, None] ** degrees[None, :]
-    # columns (re^2, im^2) per s node, summed over theta and phi
-    sq_sum = np.zeros((r.size, 2 * n_s))
-    for th in theta:
-        sq = ((radial * np.exp(1j * th * degrees)[None, :]) @ base).view(float)
-        np.multiply(sq, sq, out=sq)
-        for j in range(n_phi):
-            sq_sum += sq[:, 2 * n_s * j:2 * n_s * (j + 1)]
-    avg_sq = (sq_sum[:, 0::2] + sq_sum[:, 1::2]) / (n_theta * n_phi)
+    base = np.vstack([base.real, base.imag])
+    # fiber[theta, r, l] = r^l e^{il theta}, rows theta-major
+    fiber = (r[None, :, None] ** degrees[None, None, :]
+             * np.exp(1j * theta[:, None, None] * degrees[None, None, :]))
+    fiber = fiber.reshape(n_theta * n_r, degrees.size)
+    fiber = np.block([[fiber.real, -fiber.imag], [fiber.imag, fiber.real]])
+    # column blocks of about 512 KB of output, written into one buffer,
+    # squared in place and summed over the 2 n_theta row groups (re, im
+    # per theta) while still in cache
+    rows = fiber.shape[0]
+    width = max(1, 2**16 // rows)
+    buf = np.empty(rows * width)
+    groups = np.ones(2 * n_theta)
+    sq_sum = np.empty((n_r, n_phi * n_s))
+    for j in range(0, n_phi * n_s, width):
+        cols = base[:, j:j + width]
+        block = buf[:rows * cols.shape[1]].reshape(rows, -1)
+        np.matmul(fiber, cols, out=block)
+        np.multiply(block, block, out=block)
+        sq_sum[:, j:j + width] = (groups @ block.reshape(2 * n_theta, -1)).reshape(n_r, -1)
+    avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
     total = float((avg_sq * kernel).sum())
 
     scale = max(total, 1e-300)
@@ -285,8 +317,9 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
         check="coefficient-parseval",
         max_violation=max(term_violation, parseval),
         tolerance=tol,
-        grid={"s_points": int(pair.grid.size), "r_nodes": int(r.size),
-              "angles": [n_theta, n_phi]},
+        grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
+              "angles": [n_theta, n_phi],
+              "nodes": n_theta * n_phi * n_r * n_s},
         details={"total": total,
                  "terms": {str(l): v for l, v in sorted(terms.items())},
                  "parseval_mismatch": parseval})

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
                     SampledWeight, SlopeInterval, ToricSection,
@@ -145,15 +147,38 @@ def test_coefficient_inequality_random(pair, rng, monkeypatch):
     assert not checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
 
 
-def test_scaling_shifts_log_norm(pair):
-    sec = ToricSection(4, {(1, 1): 1.0, (2, 0): 2.0})
-    lam = 3.0
-    scaled = ToricSection(4, {k: lam * c for k, c in sec.coefficients.items()})
-    r1 = coefficient_inequality(sec, pair)
-    r2 = coefficient_inequality(scaled, pair)
-    # |lam F|^2 integrals scale by lam^2 exactly
-    assert r2.details["total"] == pytest.approx(lam ** 2 * r1.details["total"],
-                                                rel=1e-12)
+@st.composite
+def sections(draw):
+    """Degree m in 1..7, base degree <= 3, 1 to 6 nonzero coefficients."""
+    m = draw(st.integers(1, 7))
+    polar = st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 2.0 * math.pi))
+    coeffs = draw(st.dictionaries(st.tuples(st.integers(0, m), st.integers(0, 3)),
+                                  polar, min_size=1, max_size=6))
+    return ToricSection(m, {lk: rho * complex(math.cos(a), math.sin(a))
+                            for lk, (rho, a) in coeffs.items()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(sections(), st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi),
+       st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0))
+def test_parseval_phase_invariant_and_quadratic(pair, sec, alpha, beta, lam):
+    rep = coefficient_inequality(sec, pair)
+    total = rep.details["total"]
+    # c_lk -> c_lk e^{i(l alpha + k beta)} rotates F in both angles, and the
+    # angle grids integrate |F|^2 exactly, so nothing may move
+    turned = coefficient_inequality(ToricSection(sec.m, {
+        (l, k): c * complex(math.cos(l * alpha + k * beta),
+                            math.sin(l * alpha + k * beta))
+        for (l, k), c in sec.coefficients.items()}), pair)
+    assert abs(turned.details["total"] - total) <= 1e-13 * total
+    assert turned.details["terms"].keys() == rep.details["terms"].keys()
+    for l, v in rep.details["terms"].items():
+        assert abs(turned.details["terms"][l] - v) <= 1e-13 * v
+    # |lam F|^2 integrals scale by |lam|^2
+    scaled = coefficient_inequality(ToricSection(
+        sec.m, {lk: lam * c for lk, c in sec.coefficients.items()}), pair)
+    assert abs(scaled.details["total"] - abs(lam) ** 2 * total) \
+        <= 1e-13 * abs(lam) ** 2 * total
 
 
 def _literal_average_oracle(section, pair):
@@ -200,7 +225,7 @@ def _literal_average_oracle(section, pair):
     return {str(l): v for l, v in terms.items()}, float((avg_sq * kernel).sum())
 
 
-@pytest.mark.parametrize("k_max", [0, 3])
+@pytest.mark.parametrize("k_max", [0, 2, 3])
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_literal_average_matches_broadcast_loop(pair, m, k_max):
     rng = np.random.default_rng(1000 * m + k_max)
@@ -218,3 +243,9 @@ def test_literal_average_matches_broadcast_loop(pair, m, k_max):
         assert rep.details["terms"] == terms
         assert abs(rep.details["total"] - total) <= 1e-13 * total
         assert rep.grid["angles"] == [2 * m + 3, 2 * k_max + 3]
+    n_r, n_s = _fiber_quadrature()[0].size, 2 * (pair.grid.size - 1)
+    columns = (2 * k_max + 3) * n_s
+    assert rep.grid["nodes"] == (2 * m + 3) * columns * n_r
+    if (m, k_max) == (4, 2):
+        # the battery's shape: the product's last column block is short
+        assert columns % max(1, 2**16 // (2 * (2 * m + 3) * n_r)) != 0
