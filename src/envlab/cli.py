@@ -71,11 +71,11 @@ def export_report(report: VerificationReport, out_dir, name,
     payload["anchor"] = CHECKS[report.check].anchor
     payload["seed"] = seed
     payload["wall_time_s"] = wall_time
-    body = json.dumps(payload, sort_keys=True, indent=2)
+    payload["timestamp"] = round(time.time(), 3)
     path = os.path.join(str(out_dir), f"{name}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # timestamp kept out of the sorted body so reports stay diffable
-        fh.write(body[:-2] + f',\n  "timestamp": {time.time():.3f}\n}}\n')
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
     return path
 
 

@@ -201,6 +201,17 @@ def _merge_runs(m, b, x, run_a, run_e):
     return A, E, XS
 
 
+def _slope_bounds(w: SampledWeight, interval: SlopeInterval):
+    """(sigma_min, sigma_max) of ``interval``, which must sit inside
+    [slope_left, slope_right] so the affine tails never cut below."""
+    lo, hi = interval.sigma_min, interval.sigma_max
+    if lo < w.slope_left - 1e-12 or hi > w.slope_right + 1e-12:
+        raise NoEnvelopeError(
+            f"slope interval [{lo}, {hi}] not contained in "
+            f"[{w.slope_left}, {w.slope_right}]")
+    return lo, hi
+
+
 def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:
     """Largest convex minorant of u with derivative in ``interval``.
 
@@ -208,13 +219,7 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     The returned weight carries the clamped slopes as its extrapolation
     slopes, so the envelope offset psi = u_e - u is <= 0 everywhere.
     """
-    lo, hi = interval.sigma_min, interval.sigma_max
-    if lo > hi:
-        raise NoEnvelopeError("empty competitor class: empty slope interval")
-    if lo < w.slope_left - 1e-12 or hi > w.slope_right + 1e-12:
-        raise NoEnvelopeError(
-            f"slope interval [{lo}, {hi}] not contained in "
-            f"[{w.slope_left}, {w.slope_right}]")
+    lo, hi = _slope_bounds(w, interval)
 
     s, u = w.grid, w.values
     # Dual lines sigma -> s_i * sigma - u_i; their upper envelope is u*.
@@ -224,7 +229,7 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     cand = np.concatenate(([lo], cross[inside], [hi]))
     # Active line at each candidate (for kinks either neighbour works).
     pos = np.searchsorted(cross, cand, side="right")
-    act = keep[np.minimum(pos, keep.size - 1)]
+    act = keep[pos]
     ustar = cand * s[act] - u[act]
     # Back transform: the maximiser over sigma sits at a kink or endpoint,
     # and the optimal candidate index is monotone in s.
@@ -258,13 +263,7 @@ def _monotone_chain_lower(s, u):
 
 def hull_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:
     """Graph convex-hull oracle for :func:`equilibrium_envelope`."""
-    lo, hi = interval.sigma_min, interval.sigma_max
-    if lo > hi:
-        raise NoEnvelopeError("empty competitor class: empty slope interval")
-    if lo < w.slope_left - 1e-12 or hi > w.slope_right + 1e-12:
-        raise NoEnvelopeError(
-            f"slope interval [{lo}, {hi}] not contained in "
-            f"[{w.slope_left}, {w.slope_right}]")
+    lo, hi = _slope_bounds(w, interval)
     s, u = w.grid, w.values
     h = _monotone_chain_lower(s, u)
     hs, hu = s[h], u[h]

@@ -200,14 +200,9 @@ def grid_line_defects(values, grid_tau, grid_s) -> float:
     """Worst discrete-convexity violation along grid rows and columns."""
     u = np.asarray(values, dtype=float)
     worst = 0.0
-    dt = np.diff(grid_tau)
-    d1 = np.diff(u, axis=0) / dt[:, None]
-    if d1.shape[0] >= 2:
-        second = 2.0 * np.diff(d1, axis=0) / (grid_tau[2:] - grid_tau[:-2])[:, None]
-        worst = max(worst, float(np.maximum(0.0, -second).max()))
-    ds = np.diff(grid_s)
-    d1 = np.diff(u, axis=1) / ds[None, :]
-    if d1.shape[1] >= 2:
-        second = 2.0 * np.diff(d1, axis=1) / (grid_s[2:] - grid_s[:-2])[None, :]
-        worst = max(worst, float(np.maximum(0.0, -second).max()))
+    for v, g in ((u, grid_tau), (u.T, grid_s)):
+        d1 = np.diff(v, axis=0) / np.diff(g)[:, None]
+        if d1.shape[0] >= 2:
+            second = 2.0 * np.diff(d1, axis=0) / (g[2:] - g[:-2])[:, None]
+            worst = max(worst, float(np.maximum(0.0, -second).max()))
     return worst

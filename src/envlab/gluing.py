@@ -265,8 +265,7 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
         inner = fibered_weight(pair, family_curve(pair), tau_grid)
 
         stage = "outer"
-        ambient = d_A * np.log1p(np.exp(-np.abs(s_grid))) + d_A * np.maximum(s_grid, 0.0)
-        outer_vals = k_twist * tau_grid[:, None] + ambient[None, :]
+        outer_vals = k_twist * tau_grid[:, None] + phi_A.values[None, :]
         outer = SampledWeight2D(tau_grid, s_grid, outer_vals,
                                 np.array([[float(k_twist), 0.0],
                                           [float(k_twist), float(d_A)]]))

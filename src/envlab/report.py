@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -40,11 +39,6 @@ class VerificationReport:
             "grid": self.grid,
             "details": self.details,
         }
-
-    def to_json(self, **kwargs) -> str:
-        kwargs.setdefault("indent", 2)
-        kwargs.setdefault("sort_keys", True)
-        return json.dumps(self.to_dict(), **kwargs)
 
     def __str__(self) -> str:
         return (f"[{self.status}] {self.check}: max violation "

@@ -19,12 +19,12 @@ circle averaging in the fiber angle is a Parseval identity: the weighted
 L2 mass of F splits into the masses of its fiber-degree components, so
 each component mass is bounded by the total.  Both sides are integrated
 numerically, the total through literal angle averaging: F itself is
-evaluated at every node of the full (theta, phi) angle grid as one real
-matrix product, the real and imaginary parts of the fiber factors
-r^l e^{il theta} for every (theta, r) row against those of the base
-factors for every (phi, s) column, taken over column blocks that stay in
-cache, and |F|^2 is averaged from those values, so the total never shares
-the coefficient algebra of the component side.
+evaluated on an equispaced (theta, phi) angle grid, one complex product
+per fiber angle theta of the fiber factors r^l e^{il theta} against the
+base factors for every (phi, s) column, and |F|^2 is averaged from those
+values, so the total never shares the coefficient algebra of the
+component side.  |F|^2 only carries angle frequencies |l - l'| <= m and
+|k - k'| <= k_max, so m + 1 and k_max + 1 angles average it exactly.
 """
 
 from __future__ import annotations
@@ -242,11 +242,12 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     the coefficient formula after circle averaging, the total averages
     |F|^2 over both angles by trapezoid (exact for polynomial sections)
     on the same radial/base nodes, with F evaluated at every angle node.
-    Those values come from one real matrix product, the stacked real and
-    imaginary parts of r^l e^{il theta} on the (theta, r) rows against those
-    of sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns; it runs over
-    column blocks of about 512 KB, each squared and summed over theta
-    while in cache.  Verifies every component <= total and that the
+    The grid has m + 1 angles theta and k_max + 1 angles phi, the fewest
+    that integrate |F|^2 exactly: its angle frequencies are differences
+    l - l' and k - k' of at most m and k_max.  At each theta, F is one
+    complex product of r^l e^{il theta} on the r rows against
+    sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns, and |F|^2 is
+    accumulated over theta.  Verifies every component <= total and that the
     components sum to the total.
     """
     m = section.m
@@ -271,12 +272,9 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
             avg += abs(c) ** 2 * np.exp(k * s_nodes)
         terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
 
-    # literal double-angle average of |F|^2 on the same nodes: F at every
-    # (theta, r) row and (phi, s) column as one real product
-    # [[Re z, -Im z], [Im z, Re z]] @ [Re B; Im B] = [Re F; Im F]
+    # literal double-angle average of |F|^2 on the same nodes, exact grid
     k_max = max(k for (_, k) in section.coefficients)
-    n_theta = 2 * m + 3
-    n_phi = 2 * k_max + 3
+    n_theta, n_phi = m + 1, k_max + 1
     n_r, n_s = r.size, s_nodes.size
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -287,26 +285,12 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
         for k, c in by_l[l].items():
             base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
     base = base.reshape(degrees.size, n_phi * n_s)
-    base = np.vstack([base.real, base.imag])
-    # fiber[theta, r, l] = r^l e^{il theta}, rows theta-major
-    fiber = (r[None, :, None] ** degrees[None, None, :]
-             * np.exp(1j * theta[:, None, None] * degrees[None, None, :]))
-    fiber = fiber.reshape(n_theta * n_r, degrees.size)
-    fiber = np.block([[fiber.real, -fiber.imag], [fiber.imag, fiber.real]])
-    # column blocks of about 512 KB of output, written into one buffer,
-    # squared in place and summed over the 2 n_theta row groups (re, im
-    # per theta) while still in cache
-    rows = fiber.shape[0]
-    width = max(1, 2**16 // rows)
-    buf = np.empty(rows * width)
-    groups = np.ones(2 * n_theta)
-    sq_sum = np.empty((n_r, n_phi * n_s))
-    for j in range(0, n_phi * n_s, width):
-        cols = base[:, j:j + width]
-        block = buf[:rows * cols.shape[1]].reshape(rows, -1)
-        np.matmul(fiber, cols, out=block)
-        np.multiply(block, block, out=block)
-        sq_sum[:, j:j + width] = (groups @ block.reshape(2 * n_theta, -1)).reshape(n_r, -1)
+    # F at one fiber angle: (r^l e^{il theta})[r, l] @ base[l, (phi, s)]
+    r_pow = r[:, None] ** degrees[None, :]
+    sq_sum = np.zeros((n_r, n_phi * n_s))
+    for th in theta:
+        f = (r_pow * np.exp(1j * th * degrees)[None, :]) @ base
+        sq_sum += f.real ** 2 + f.imag ** 2
     avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
     total = float((avg_sq * kernel).sum())
 

@@ -45,10 +45,6 @@ class SlopeInterval:
             raise InvalidInputError(
                 f"sigma_min={self.sigma_min} exceeds sigma_max={self.sigma_max}")
 
-    @property
-    def width(self) -> float:
-        return self.sigma_max - self.sigma_min
-
 
 @dataclass(frozen=True)
 class SampledWeight:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import (SampledWeight, SlopeInterval, UnboundedTransformError,
-                    checks, convexity_defect, equilibrium_envelope,
-                    hull_envelope, legendre_values)
+from envlab import (NoEnvelopeError, SampledWeight, SlopeInterval,
+                    UnboundedTransformError, checks, convexity_defect,
+                    equilibrium_envelope, hull_envelope, legendre_values)
 from envlab.envelope import _monotone_chain_lower, _upper_line_envelope
 from conftest import bumpy_model_weight, piecewise_quadratic_weight
 
@@ -21,6 +21,14 @@ def test_conjugate_of_softplus():
     w = _softplus_weight()
     val = legendre_values(w, [0.5])[0]
     assert val == pytest.approx(-np.log(2.0), abs=1e-8)
+
+
+@pytest.mark.parametrize("route", [equilibrium_envelope, hull_envelope])
+@pytest.mark.parametrize("lo, hi", [(-0.5, 1.0), (0.0, 1.5), (-1.0, 2.0)])
+def test_interval_outside_slope_range_has_no_envelope(route, lo, hi):
+    # the affine tails would cut below any envelope with slopes outside [0, 1]
+    with pytest.raises(NoEnvelopeError):
+        route(_softplus_weight(65), SlopeInterval(lo, hi))
 
 
 def test_conjugate_unbounded_outside_slope_range():

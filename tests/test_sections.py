@@ -184,8 +184,9 @@ def test_parseval_phase_invariant_and_quadratic(pair, sec, alpha, beta, lam):
 def _literal_average_oracle(section, pair):
     """Terms and total by the plain theta/l broadcast loop over the angle grid.
 
-    Same nodes and kernel as ``coefficient_inequality``; the total averages
-    np.abs(F)**2 over phi, then over theta, one fiber degree at a time.
+    Same nodes and kernel as ``coefficient_inequality``, but the denser
+    (2m + 3) x (2k_max + 3) angle grid; the total averages np.abs(F)**2
+    over phi, then over theta, one fiber degree at a time.
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
@@ -242,10 +243,6 @@ def test_literal_average_matches_broadcast_loop(pair, m, k_max):
         terms, total = _literal_average_oracle(sec, pair)
         assert rep.details["terms"] == terms
         assert abs(rep.details["total"] - total) <= 1e-13 * total
-        assert rep.grid["angles"] == [2 * m + 3, 2 * k_max + 3]
+        assert rep.grid["angles"] == [m + 1, k_max + 1]
     n_r, n_s = _fiber_quadrature()[0].size, 2 * (pair.grid.size - 1)
-    columns = (2 * k_max + 3) * n_s
-    assert rep.grid["nodes"] == (2 * m + 3) * columns * n_r
-    if (m, k_max) == (4, 2):
-        # the battery's shape: the product's last column block is short
-        assert columns % max(1, 2**16 // (2 * (2 * m + 3) * n_r)) != 0
+    assert rep.grid["nodes"] == (m + 1) * (k_max + 1) * n_s * n_r

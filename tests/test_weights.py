@@ -8,7 +8,7 @@ from envlab.weights import save_weight2d_csv
 
 def test_slope_interval():
     iv = SlopeInterval(0.0, 3.0)
-    assert iv.width == 3.0
+    assert (iv.sigma_min, iv.sigma_max) == (0.0, 3.0)
     with pytest.raises(InvalidInputError):
         SlopeInterval(1.0, 0.0)
 
@@ -39,7 +39,7 @@ def test_weight_helpers():
     w = SampledWeight(np.linspace(-1, 1, 11), np.zeros(11), 0.0, 0.0)
     w2 = w.with_values(np.ones(11), slope_right=1.0)
     assert w2.slope_right == 1.0
-    assert w.slope_interval.width == 0.0
+    assert w.slope_interval == SlopeInterval(0.0, 0.0)
 
 
 def test_weight2d_validation():
