@@ -8,13 +8,12 @@ approximants of the envelope, and glues chart weights with a regularized
 maximum.  Every verification returns a :class:`~envlab.report.VerificationReport`.
 """
 
-from .envelope import (convexity_defect, equilibrium_envelope, hull_envelope,
-                       legendre_values)
+from .envelope import convexity_defect, equilibrium_envelope, hull_envelope
 from .envelope2d import (equilibrium_envelope_2d, grid_line_defects,
                          hull_envelope_2d)
 from .errors import (EnvlabError, GluingError, InvalidCoverError,
                      InvalidInputError, InvalidParameterError, NoEnvelopeError,
-                     PrecisionError, UnboundedTransformError)
+                     PrecisionError)
 from .family import (FamilyCurve, ModelBundlePair, cayley_polytope,
                      check_monotone_family, check_right_continuity,
                      default_t_grid, family_curve, fibered_weight,
@@ -36,11 +35,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "convexity_defect", "equilibrium_envelope", "hull_envelope",
-    "legendre_values",
     "equilibrium_envelope_2d", "grid_line_defects", "hull_envelope_2d",
     "EnvlabError", "InvalidInputError", "InvalidParameterError",
-    "UnboundedTransformError", "NoEnvelopeError",
-    "PrecisionError", "InvalidCoverError", "GluingError",
+    "NoEnvelopeError", "PrecisionError", "InvalidCoverError", "GluingError",
     "FamilyCurve", "ModelBundlePair", "cayley_polytope",
     "check_monotone_family", "check_right_continuity", "default_t_grid",
     "family_curve", "fibered_weight", "minimal_singularity_gap", "mix_weights",

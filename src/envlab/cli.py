@@ -87,20 +87,23 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
     rows in blank-line separated blocks, one block per tau.
     """
     path = str(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(w, SampledWeight2D):
+    if isinstance(w, SampledWeight2D):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# tau s phi\n")
             s_text = [f"{s:.17g}" for s in w.grid_s.tolist()]
             for tau, row in zip(w.grid_tau.tolist(), w.values):
                 head = f"{tau:.17g} "
                 fh.write("".join(f"{head}{s} {v:.17g}\n"
                                  for s, v in zip(s_text, row.tolist())) + "\n")
-            return path
-        if envelope is None:
-            envelope = equilibrium_envelope(w, w.slope_interval)
-        if psi is None:
-            d = max(int(round(w.slope_right)), 0)
-            psi = psi1_approximant(w, d, 64) if d > 0 else envelope
+        return path
+    # both columns are computed before the file opens, so a failure leaves
+    # no partial file behind
+    if envelope is None:
+        envelope = equilibrium_envelope(w, w.slope_interval)
+    if psi is None:
+        d = max(int(round(w.slope_right)), 0)
+        psi = psi1_approximant(w, d, 64) if d > 0 else envelope
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# s u u_e psi\n")
         rows = zip(w.grid.tolist(), w.values.tolist(),
                    envelope.values.tolist(), psi.values.tolist())
@@ -111,13 +114,7 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
 
 def load_plot_data(path):
     """Read a .dat file back; returns column arrays (2D files: stacked)."""
-    rows = []
-    with open(str(path), "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                rows.append([float(t) for t in line.split()])
-    return np.asarray(rows)
+    return np.loadtxt(str(path), ndmin=2)
 
 
 def export_weight2d_artifacts(named_weights: dict, out_dir) -> None:
@@ -127,14 +124,15 @@ def export_weight2d_artifacts(named_weights: dict, out_dir) -> None:
         export_plot_data(w, os.path.join(str(out_dir), f"{name}.dat"))
 
 
-def _bump_pair(n=513, d_A=2, d_L=1):
+def _bump_pair(n=513):
+    """Model pair of degrees d_A = 2, d_L = 1 on n points of [-20, 20]."""
     s = np.linspace(-20.0, 20.0, n)
     soft = np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
     # phi_A convex (the monotone-family hypotheses need it); bumps on phi_L
-    phi_A = SampledWeight(s, d_A * soft, 0.0, float(d_A))
-    phi_L = SampledWeight(s, d_L * soft - 0.6 * np.exp(-2.0 * (s + 2.0) ** 2)
-                          + 0.9 * np.exp(-(s - 3.0) ** 2), 0.0, float(d_L))
-    return ModelBundlePair(phi_A, d_A, phi_L, d_L)
+    phi_A = SampledWeight(s, 2 * soft, 0.0, 2.0)
+    phi_L = SampledWeight(s, soft - 0.6 * np.exp(-2.0 * (s + 2.0) ** 2)
+                          + 0.9 * np.exp(-(s - 3.0) ** 2), 0.0, 1.0)
+    return ModelBundlePair(phi_A, 2, phi_L, 1)
 
 
 def _random_case(rng, i):
@@ -157,9 +155,9 @@ def _cmd_envelope(manifest: RunManifest):
         raise InvalidInputError("envelope needs an input weight CSV")
     w = load_weight_csv(source)
     env = equilibrium_envelope(w, w.slope_interval)
-    save_weight_csv(env, os.path.join(manifest.out_dir, "envelope.csv"))
     export_plot_data(w, os.path.join(manifest.out_dir, "envelope.dat"),
                      envelope=env)
+    save_weight_csv(env, os.path.join(manifest.out_dir, "envelope.csv"))
     yield checks.check_envelope_run(w, env, str(source),
                                     manifest.tol("envelope-run"))
 

@@ -8,7 +8,9 @@ below u whose derivative stays in I.  Two independent routes are provided:
   ``sigma -> sigma * s_i - u_i``, and the back transform maximises
   ``sigma * s - u*(sigma)`` over the kinks of u* clipped to I.  Both steps
   are exact for sampled data, so the route carries no slope-discretization
-  error.
+  error.  ``_conjugate_1d`` is the one place u* is read off that envelope
+  (one binary search in its crossings per slope); the section approximant
+  psi1 and the 2-d envelope's column-by-column u* use it too.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   by a monotone chain with cross-product predicates and then clamps the
@@ -44,36 +46,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidInputError, NoEnvelopeError, UnboundedTransformError
+from .errors import InvalidInputError, NoEnvelopeError
 from .weights import SampledWeight, SlopeInterval
 
 __all__ = [
-    "legendre_values",
     "equilibrium_envelope",
     "hull_envelope",
     "convexity_defect",
 ]
-
-
-def legendre_values(w: SampledWeight, sigmas) -> np.ndarray:
-    """Exact conjugate w*(sigma) = sup_s (sigma*s - u(s)) at given slopes.
-
-    Finite exactly for sigma in [slope_left, slope_right]; outside that
-    range the supremum diverges along an extrapolation tail.
-    """
-    sig = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    lo, hi = w.slope_left, w.slope_right
-    if np.any(sig < lo - 1e-12) or np.any(sig > hi + 1e-12):
-        raise UnboundedTransformError(
-            f"slopes outside [{lo}, {hi}] make the transform infinite")
-    # For admissible sigma the tails only decrease going outward, so the
-    # supremum is attained at a grid point.
-    out = np.empty(sig.size)
-    chunk = max(1, int(2**22 // max(w.grid.size, 1)))
-    for k in range(0, sig.size, chunk):
-        block = sig[k:k + chunk, None] * w.grid[None, :] - w.values[None, :]
-        out[k:k + chunk] = block.max(axis=1)
-    return out if np.ndim(sigmas) else float(out[0])
 
 
 def _upper_line_envelope(slopes, intercepts):
@@ -201,6 +181,20 @@ def _merge_runs(m, b, x, run_a, run_e):
     return A, E, XS
 
 
+def _conjugate_1d(s, u, sigmas, lines=None):
+    """Exact u*(sigma) = max_i (sigma s_i - u_i) at each of ``sigmas``, and
+    the grid point s_i where the maximum is attained.
+
+    u* is the upper envelope of the dual lines sigma -> s_i sigma - u_i;
+    one binary search in its crossings finds the active line.  ``lines``
+    is ``_upper_line_envelope(s, -u)`` when the caller already has it.
+    """
+    keep, cross = _upper_line_envelope(s, -u) if lines is None else lines
+    act = keep[np.searchsorted(cross, sigmas, side="right")]
+    x = s[act]
+    return sigmas * x - u[act], x
+
+
 def _slope_bounds(w: SampledWeight, interval: SlopeInterval):
     """(sigma_min, sigma_max) of ``interval``, which must sit inside
     [slope_left, slope_right] so the affine tails never cut below."""
@@ -223,17 +217,15 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
 
     s, u = w.grid, w.values
     # Dual lines sigma -> s_i * sigma - u_i; their upper envelope is u*.
-    keep, cross = _upper_line_envelope(s, -u)
-    # Candidate slopes: interval endpoints plus kinks of u* inside I.
+    lines = _upper_line_envelope(s, -u)
+    cross = lines[1]
+    # Candidate slopes: interval endpoints plus kinks of u* inside I (at a
+    # kink either neighbouring line gives u*).
     inside = (cross > lo) & (cross < hi)
     cand = np.concatenate(([lo], cross[inside], [hi]))
-    # Active line at each candidate (for kinks either neighbour works).
-    pos = np.searchsorted(cross, cand, side="right")
-    act = keep[pos]
-    ustar = cand * s[act] - u[act]
+    ustar, act_s = _conjugate_1d(s, u, cand, lines)
     # Back transform: the maximiser over sigma sits at a kink or endpoint,
     # and the optimal candidate index is monotone in s.
-    act_s = s[act]
     idx = np.clip(np.searchsorted(act_s, s), 0, cand.size - 1)
     best = cand[idx] * s - ustar[idx]
     for off in (-1, 1):
@@ -287,9 +279,16 @@ def convexity_defect(w: SampledWeight) -> float:
     twice the second divided difference (the discrete second derivative);
     zero exactly when the sampled values are convex.
     """
-    s, u = w.grid, w.values
-    if s.size < 3:
+    if w.grid.size < 3:
         raise InvalidInputError("convexity_defect needs at least 3 grid points")
-    d1 = np.diff(u) / np.diff(s)
-    second = 2.0 * np.diff(d1) / (s[2:] - s[:-2])
+    return _second_difference_defect(w.values[:, None], w.grid)
+
+
+def _second_difference_defect(u, s) -> float:
+    """Worst negative part of twice the second divided difference of ``u``
+    down its columns, sampled at ``s``; 0 with fewer than 3 rows."""
+    d1 = np.diff(u, axis=0) / np.diff(s)[:, None]
+    if d1.shape[0] < 2:
+        return 0.0
+    second = 2.0 * np.diff(d1, axis=0) / (s[2:] - s[:-2])[:, None]
     return float(np.maximum(0.0, -second).max())

@@ -23,8 +23,9 @@ transform (Lucet 1997, Numerical Algorithms 16):
     u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)),
     c_j(sigma_1) = max_i (sigma_1 tau_i - u_ij),
 
-where each c_j is the 1-d upper line envelope of grid column j, so u* costs
-one line-envelope pass per column and one binary search per candidate and
+where each c_j is the 1-d conjugate of grid column j, read off its upper
+line envelope by the same lookup the 1-d envelope uses, so u* costs one
+line-envelope pass per column and one binary search per candidate and
 column instead of a plane maximum over every node.  With the axes swapped
 the same holds row by row; the loop runs over whichever axis has fewer
 nodes.
@@ -47,7 +48,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envelope import _upper_line_envelope
+from .envelope import (_conjugate_1d, _second_difference_defect,
+                       _upper_line_envelope)
 from .errors import InvalidInputError
 from .weights import SampledWeight2D
 
@@ -118,10 +120,8 @@ def _conjugate(w: SampledWeight2D, sigmas):
         sig_in, sig_out = sig_out, sig_in
     out = np.full(sig_in.size, -np.inf)
     for j, x in enumerate(grid_out.tolist()):
-        line = values[:, j]
-        keep, cross = _upper_line_envelope(grid_in, -line)
-        act = keep[np.searchsorted(cross, sig_in, side="right")]
-        np.maximum(out, sig_in * grid_in[act] - line[act] + sig_out * x, out=out)
+        c = _conjugate_1d(grid_in, values[:, j], sig_in)[0]
+        np.maximum(out, c + sig_out * x, out=out)
     return out
 
 
@@ -199,10 +199,5 @@ def hull_envelope_2d(w: SampledWeight2D) -> np.ndarray:
 def grid_line_defects(values, grid_tau, grid_s) -> float:
     """Worst discrete-convexity violation along grid rows and columns."""
     u = np.asarray(values, dtype=float)
-    worst = 0.0
-    for v, g in ((u, grid_tau), (u.T, grid_s)):
-        d1 = np.diff(v, axis=0) / np.diff(g)[:, None]
-        if d1.shape[0] >= 2:
-            second = 2.0 * np.diff(d1, axis=0) / (g[2:] - g[:-2])[:, None]
-            worst = max(worst, float(np.maximum(0.0, -second).max()))
-    return worst
+    return max(0.0, _second_difference_defect(u, grid_tau),
+               _second_difference_defect(u.T, grid_s))

@@ -13,10 +13,6 @@ class InvalidParameterError(EnvlabError):
     """A scalar parameter is outside its allowed range."""
 
 
-class UnboundedTransformError(EnvlabError):
-    """Legendre transform requested at slopes where the supremum is infinite."""
-
-
 class NoEnvelopeError(EnvlabError):
     """The competitor class for an envelope is empty."""
 

@@ -158,8 +158,8 @@ def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationRep
         details={"t_max": float(fc.t_grid[-1])})
 
 
-def check_right_continuity(fc: FamilyCurve, t_values=None,
-                           tol: float = 1e-9) -> VerificationReport:
+def check_right_continuity(fc: FamilyCurve,
+                           t_values=None) -> VerificationReport:
     """Residuals |psi_{t+d}/(1-t-d) - psi_t/(1-t)| must decay as d halves.
 
     psi_t comes from the family when t is on its grid; fresh envelopes are
@@ -188,7 +188,7 @@ def check_right_continuity(fc: FamilyCurve, t_values=None,
     return VerificationReport(
         check="family-right-continuity",
         max_violation=worst_increase,
-        tolerance=tol,
+        tolerance=1e-9,
         grid={"deltas": list(_DELTAS), "t_values": [float(t) for t in ladders]},
         details={"residuals": ladders,
                  "fitted_decay": float(np.mean(rates)) if rates else 0.0})

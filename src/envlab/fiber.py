@@ -98,12 +98,12 @@ def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
     return value, err
 
 
-def fiber_volume(m: FiberMeasure, tol: float = 1e-10) -> float:
+def fiber_volume(m: FiberMeasure) -> float:
     """Total mass of the fiber density; equals 1 by construction."""
     value, err = _integrate_halfline(_scalar_density(m))
-    if err > tol:
+    if err > 1e-10:
         raise PrecisionError(
-            f"fiber volume quadrature error {err:.2e} exceeds {tol:.1e}",
+            f"fiber volume quadrature error {err:.2e} exceeds 1.0e-10",
             estimate=value)
     return value
 
@@ -135,7 +135,7 @@ def oracle_normalization(use_quadrature: bool = False) -> float:
     return gamma(1.0) * gamma(2.0) / i0
 
 
-def bergman_fiber_integral(m: FiberMeasure, t: float, tol: float = 1e-10) -> float:
+def bergman_fiber_integral(m: FiberMeasure, t: float) -> float:
     """-log of the weighted fiber moment I(t); see the module docstring."""
     from scipy.integrate import quad
 
@@ -157,15 +157,15 @@ def bergman_fiber_integral(m: FiberMeasure, t: float, tol: float = 1e-10) -> flo
         value, err = v1 + v2, e1 + e2
     else:
         value, err = _integrate_halfline(integrand)
-    if err > tol or value <= 0.0:
+    if err > 1e-10 or value <= 0.0:
         raise PrecisionError(
-            f"fiber moment quadrature error {err:.2e} exceeds {tol:.1e}",
+            f"fiber moment quadrature error {err:.2e} exceeds 1.0e-10",
             estimate=value)
     return -math.log(value)
 
 
-def holder_fiber_chain(m: FiberMeasure, t: float, m_pow: int,
-                       tol: float = 1e-10) -> VerificationReport:
+def holder_fiber_chain(m: FiberMeasure, t: float,
+                       m_pow: int) -> VerificationReport:
     """Power-mean inequality for g(r) = r^{2t} e^{-log(r^2 a + b)}.
 
     Verifies int g^m dnu >= (int g dnu)^m (int dnu)^{-(m-1)} against the
@@ -193,7 +193,7 @@ def holder_fiber_chain(m: FiberMeasure, t: float, m_pow: int,
     return VerificationReport(
         check="fiber-power-mean",
         max_violation=(rhs - lhs) / scale,
-        tolerance=tol,
+        tolerance=1e-10,
         grid={"quadrature": "adaptive tan-substituted", "errors": [e1, e2, e3]},
         details={"lhs": lhs, "rhs": rhs, "t": t, "power": m_pow,
                  "a": m.a, "b": m.b})

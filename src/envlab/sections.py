@@ -10,6 +10,12 @@ sections is realised by the best monomial.  Two normalizations appear:
 * L2-normalized (psi2) against a base probability measure, which can only
   enlarge the coefficient, so psi2 >= psi1.
 
+Both are one lattice maximum max_k ( (k/m) s - c_k ), taken densely over
+lattice x grid, and differ only in c_k: for psi1 the exact u*(k/m), read
+off the 1-d line envelope by the same lookup the envelope uses; for psi2
+the log squared L2 norm of the k-th monomial, divided by m.  When no k/m
+lies in [slope_left, slope_right] there is no approximant.
+
 The two are sandwiched around the envelope up to the comparison constant
 C' = C'_1 + C'_2 built from chart-box oscillations and the density ratio
 of the flat measure against the base measure.
@@ -35,8 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import equilibrium_envelope, legendre_values
-from .errors import InvalidCoverError, InvalidInputError, InvalidParameterError
+from .envelope import _conjugate_1d, equilibrium_envelope
+from .errors import (InvalidCoverError, InvalidInputError,
+                     InvalidParameterError, NoEnvelopeError)
 from .family import ModelBundlePair
 from .measures import base_density
 from .report import VerificationReport
@@ -52,8 +59,6 @@ __all__ = [
     "check_sandwich",
     "coefficient_inequality",
 ]
-
-_TAIL_LENGTH = 45.0
 
 
 @dataclass(frozen=True)
@@ -102,15 +107,22 @@ def _slope_lattice(w: SampledWeight, d: int, m: int) -> np.ndarray:
         raise InvalidParameterError(f"power must be an integer >= 1, got {m}")
     lattice = np.arange(0, int(m) * int(d) + 1) / float(m)
     keep = (lattice >= w.slope_left - 1e-12) & (lattice <= w.slope_right + 1e-12)
+    if not keep.any():
+        raise NoEnvelopeError(f"no slope k/{m} lies in "
+                              f"[{w.slope_left}, {w.slope_right}]")
     return np.clip(lattice[keep], w.slope_left, w.slope_right)
+
+
+def _lattice_max(w: SampledWeight, lattice, c) -> SampledWeight:
+    """max_k (lattice_k s - c_k) at every grid point s, one dense product."""
+    vals = (lattice[:, None] * w.grid[None, :] - c[:, None]).max(axis=0)
+    return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
 
 
 def psi1_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
     """Sup-normalized monomial approximant on the slope lattice k/m."""
     lattice = _slope_lattice(w, d, m)
-    weights = legendre_values(w, lattice)
-    vals = (lattice[:, None] * w.grid[None, :] - weights[:, None]).max(axis=0)
-    return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
+    return _lattice_max(w, lattice, _conjugate_1d(w.grid, w.values, lattice)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -132,11 +144,13 @@ def _segment_nodes(grid, order=4):
     return nodes, weights
 
 
-def _tail_nodes(edge, sign, length=_TAIL_LENGTH, panels=40, order=6):
-    grid = edge + sign * np.linspace(0.0, length, panels + 1)
+def _tail_nodes(edge, sign):
+    """Order-6 Gauss nodes/weights on 40 panels over the 45 units of affine
+    tail beyond ``edge`` (``sign`` -1 to the left, +1 to the right)."""
+    grid = edge + sign * np.linspace(0.0, 45.0, 41)
     if sign < 0:
         grid = grid[::-1]
-    return _segment_nodes(grid, order)
+    return _segment_nodes(grid, 6)
 
 
 def _log_norms_squared(w, lattice, m):
@@ -159,16 +173,13 @@ def _log_norms_squared(w, lattice, m):
 def psi2_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
     """L2-normalized monomial approximant against the base density."""
     lattice = _slope_lattice(w, d, m)
-    log_norms = _log_norms_squared(w, lattice, m)
-    vals = (lattice[:, None] * w.grid[None, :]
-            - (1.0 / m) * log_norms[:, None]).max(axis=0)
-    return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
+    return _lattice_max(w, lattice, (1.0 / m) * _log_norms_squared(w, lattice, m))
 
 
-def unit_boxes(lo: float, hi: float, size: float = 1.0, overlap: float = 0.5):
-    """Overlapping chart boxes covering [lo, hi]."""
-    starts = np.arange(lo, hi, size * (1.0 - overlap))
-    return [(float(s), float(s + size)) for s in starts]
+def unit_boxes(lo: float, hi: float):
+    """Unit chart boxes covering [lo, hi], each overlapping the next by half."""
+    starts = np.arange(lo, hi, 0.5)
+    return [(float(s), float(s + 1.0)) for s in starts]
 
 
 def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
@@ -223,9 +234,10 @@ def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
 
 
 @functools.lru_cache(maxsize=None)
-def _fiber_quadrature(n_cells: int = 24, order: int = 4):
-    """Read-only radial nodes/weights for (0, inf) via r = tan(pi theta / 2)."""
-    theta, wq = _segment_nodes(np.linspace(0.0, 1.0, n_cells + 1), order)
+def _fiber_quadrature():
+    """Read-only radial nodes/weights for (0, inf) via r = tan(pi theta / 2),
+    order-4 Gauss on 24 equal cells in theta."""
+    theta, wq = _segment_nodes(np.linspace(0.0, 1.0, 25), 4)
     r = np.tan(math.pi * theta / 2.0)
     w = wq * (math.pi / 2.0) / np.cos(math.pi * theta / 2.0) ** 2
     r.setflags(write=False)
@@ -233,8 +245,8 @@ def _fiber_quadrature(n_cells: int = 24, order: int = 4):
     return r, w
 
 
-def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
-                           tol: float = 1e-8) -> VerificationReport:
+def coefficient_inequality(section: ToricSection,
+                           pair: ModelBundlePair) -> VerificationReport:
     """Fiber-degree component masses against the total mass of a section.
 
     Both sides are weighted L2 integrals against e^{-m phi_inf} dV with
@@ -300,7 +312,7 @@ def coefficient_inequality(section: ToricSection, pair: ModelBundlePair,
     return VerificationReport(
         check="coefficient-parseval",
         max_violation=max(term_violation, parseval),
-        tolerance=tol,
+        tolerance=1e-8,
         grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
               "angles": [n_theta, n_phi],
               "nodes": n_theta * n_phi * n_r * n_s},

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from envlab import ModelBundlePair, SampledWeight
 
@@ -36,6 +37,36 @@ def bumpy_model_weight(rng, n=2049, d=1, span=20.0):
         c = rng.uniform(-8.0, 8.0)
         u += rng.uniform(-1.5, 1.5) * np.exp(-((s - c) / rng.uniform(0.5, 3.0)) ** 2)
     return SampledWeight(s, u, 0.0, float(d))
+
+
+def soft_plus(s):
+    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
+
+
+def noise_weight(rng, n, d, walk):
+    """d * softplus plus white noise, or plus a random walk: many short
+    convex runs."""
+    s = np.linspace(-20.0, 20.0, n)
+    steps = rng.normal(0.0, 0.3 if walk else 0.5, n)
+    u = d * soft_plus(s) + (np.cumsum(steps) if walk else steps)
+    return SampledWeight(s, u, 0.0, float(d))
+
+
+@st.composite
+def weights_of_degree(draw, min_degree=1):
+    """(w, d): a bumpy weight (a few long convex runs), or a noise,
+    random-walk or piecewise-quadratic weight (many runs, or long concave
+    stretches), on 257 points with slope data containing [0, d] and
+    min_degree <= d <= 3.  100 examples hold about 25 of each kind."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    d = draw(st.integers(min_value=min_degree, max_value=3))
+    kind = draw(st.sampled_from(["bumpy", "noise", "walk", "quadratic"]))
+    rng = np.random.default_rng(seed)
+    if kind == "bumpy":
+        return bumpy_model_weight(rng, n=257, d=d), d
+    if kind == "quadratic":
+        return piecewise_quadratic_weight(rng, n=257, d=d), d
+    return noise_weight(rng, 257, d, kind == "walk"), d
 
 
 def model_pair(n=513, d_A=2, d_L=1, seed=None):

@@ -71,6 +71,23 @@ def test_envelope_command_empty_input(tmp_path):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
+def test_envelope_command_empty_slope_lattice(tmp_path):
+    # no k/64 lies in [0.501, 0.51], so the psi column has no approximant
+    s = np.linspace(-10, 10, 257)
+    path = tmp_path / "narrow.csv"
+    save_weight_csv(SampledWeight(s, 0.505 * s + np.sin(s), 0.501, 0.51), path)
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "envlab.cli", "envelope", "--input", str(path),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 2
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert os.listdir(out) == []
+
+
 def test_bad_tolerance_flag(tmp_path):
     code = main(["family", "--out", str(tmp_path), "--tol", "family=abc"])
     assert code == 2

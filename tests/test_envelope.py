@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import (NoEnvelopeError, SampledWeight, SlopeInterval,
-                    UnboundedTransformError, checks, convexity_defect,
-                    equilibrium_envelope, hull_envelope, legendre_values)
-from envlab.envelope import _monotone_chain_lower, _upper_line_envelope
-from conftest import bumpy_model_weight, piecewise_quadratic_weight
+from envlab import (NoEnvelopeError, SampledWeight, SlopeInterval, checks,
+                    convexity_defect, equilibrium_envelope, hull_envelope)
+from envlab.envelope import (_conjugate_1d, _monotone_chain_lower,
+                             _upper_line_envelope)
+from conftest import (bumpy_model_weight, noise_weight,
+                      piecewise_quadratic_weight, soft_plus, weights_of_degree)
 
 
 def _softplus_weight(n=4097):
@@ -19,8 +20,9 @@ def _softplus_weight(n=4097):
 def test_conjugate_of_softplus():
     # sup_s(s/2 - log(1+e^s)) = -log 2, attained at s = 0
     w = _softplus_weight()
-    val = legendre_values(w, [0.5])[0]
-    assert val == pytest.approx(-np.log(2.0), abs=1e-8)
+    val, at = _conjugate_1d(w.grid, w.values, np.array([0.5]))
+    assert val[0] == pytest.approx(-np.log(2.0), abs=1e-8)
+    assert at[0] == 0.0
 
 
 @pytest.mark.parametrize("route", [equilibrium_envelope, hull_envelope])
@@ -29,14 +31,6 @@ def test_interval_outside_slope_range_has_no_envelope(route, lo, hi):
     # the affine tails would cut below any envelope with slopes outside [0, 1]
     with pytest.raises(NoEnvelopeError):
         route(_softplus_weight(65), SlopeInterval(lo, hi))
-
-
-def test_conjugate_unbounded_outside_slope_range():
-    w = _softplus_weight()
-    with pytest.raises(UnboundedTransformError):
-        legendre_values(w, [1.5])
-    with pytest.raises(UnboundedTransformError):
-        legendre_values(w, [-0.1])
 
 
 def test_degenerate_interval():
@@ -142,19 +136,6 @@ def _stack_line_envelope(slopes, intercepts):
     return np.array(keep, dtype=int), np.array(cross, dtype=float)
 
 
-def _soft_plus(s):
-    return np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0)
-
-
-def _noise_weight(rng, n, d, walk):
-    """d * softplus plus white noise, or plus a random walk: many short
-    convex runs."""
-    s = np.linspace(-20.0, 20.0, n)
-    steps = rng.normal(0.0, 0.3 if walk else 0.5, n)
-    u = d * _soft_plus(s) + (np.cumsum(steps) if walk else steps)
-    return SampledWeight(s, u, 0.0, float(d))
-
-
 def _line_cases():
     """(id, slopes, intercepts) in the order _upper_line_envelope takes."""
     rng = np.random.default_rng(31)
@@ -183,10 +164,10 @@ def _line_cases():
                       np.cumsum(rng.integers(-2, 3, n)).astype(float)))
     for n in (64, 513, 4096):
         s = np.linspace(-20.0, 20.0, n)
-        cases += [(f"convex-{n}", s, -_soft_plus(s)),
+        cases += [(f"convex-{n}", s, -soft_plus(s)),
                   (f"concave-{n}", s, np.sqrt(1.0 + s * s)),
-                  (f"noise-{n}", s, -_noise_weight(rng, n, 1, False).values),
-                  (f"walk-{n}", s, -_noise_weight(rng, n, 2, True).values),
+                  (f"noise-{n}", s, -noise_weight(rng, n, 1, False).values),
+                  (f"walk-{n}", s, -noise_weight(rng, n, 2, True).values),
                   (f"bumpy-{n}", s, -bumpy_model_weight(rng, n, d=2).values)]
         w = piecewise_quadratic_weight(rng, n=n, d=3)
         cases.append((f"piecewise-quadratic-{n}", w.grid, -w.values))
@@ -247,18 +228,8 @@ def test_monotone_chain_lower_brute_force():
 
 @st.composite
 def weights(draw):
-    """Bumpy weights (a few long convex runs), and noise, random-walk and
-    piecewise-quadratic weights (many runs, or long concave stretches).
-    The properties draw 100 examples, about 25 of each kind."""
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    d = draw(st.integers(min_value=1, max_value=3))
-    kind = draw(st.sampled_from(["bumpy", "noise", "walk", "quadratic"]))
-    rng = np.random.default_rng(seed)
-    if kind == "bumpy":
-        return bumpy_model_weight(rng, n=257, d=d)
-    if kind == "quadratic":
-        return piecewise_quadratic_weight(rng, n=257, d=d)
-    return _noise_weight(rng, 257, d, kind == "walk")
+    """A weight of degree 1 to 3 from :func:`conftest.weights_of_degree`."""
+    return draw(weights_of_degree())[0]
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
-                    SampledWeight, SlopeInterval, ToricSection,
-                    VerificationReport, check_sandwich, checks,
+                    NoEnvelopeError, SampledWeight, SlopeInterval,
+                    ToricSection, VerificationReport, check_sandwich, checks,
                     coefficient_inequality, comparison_constants,
-                    equilibrium_envelope, legendre_values, psi1_approximant,
-                    psi2_approximant, unit_boxes)
+                    equilibrium_envelope, psi1_approximant, psi2_approximant,
+                    unit_boxes)
 from envlab.measures import base_density
-from envlab.sections import _fiber_quadrature, _segment_nodes
-from conftest import bumpy_model_weight, model_pair
+from envlab.sections import (_fiber_quadrature, _log_norms_squared,
+                             _segment_nodes)
+from conftest import bumpy_model_weight, model_pair, weights_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +33,8 @@ def test_psi1_exact_on_lattice_slopes():
 def test_psi1_matches_direct_enumeration(bumpy):
     m = 8
     lattice = np.arange(m + 1) / m
-    conj = legendre_values(bumpy, lattice)
+    conj = [max(sig * s - u for s, u in zip(bumpy.grid, bumpy.values))
+            for sig in lattice]
     s0 = 0.0
     direct = max(sig * s0 - c for sig, c in zip(lattice, conj))
     assert psi1_approximant(bumpy, 1, m)(s0) == pytest.approx(direct, abs=1e-12)
@@ -53,6 +55,33 @@ def test_psi1_degree_zero_is_constant(bumpy):
     w0 = bumpy.with_values(np.abs(np.tanh(bumpy.grid)), 0.0, 0.0)
     psi1 = psi1_approximant(w0, 0, 4)
     assert np.allclose(psi1.values, w0.values.min())
+
+
+def _dense_lattice_max(w, lattice, c):
+    return (lattice[:, None] * w.grid[None, :] - c[:, None]).max(axis=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights_of_degree(min_degree=0), st.integers(1, 16))
+def test_psi_approximants_are_dense_lattice_maxima(wd, m):
+    # psi1 against a dense conjugate at every k/m, psi2 against its L2 norms
+    w, d = wd
+    lattice = np.arange(m * d + 1) / m
+    conj = (lattice[:, None] * w.grid[None, :] - w.values[None, :]).max(axis=1)
+    norms = _log_norms_squared(w, lattice, m) / m
+    tol = 1e-15 * max(1.0, float(np.abs(w.values).max()))
+    for psi, c in ((psi1_approximant(w, d, m), conj),
+                   (psi2_approximant(w, d, m), norms)):
+        assert (psi.slope_left, psi.slope_right) == (0.0, float(d))
+        assert np.abs(psi.values - _dense_lattice_max(w, lattice, c)).max() <= tol
+
+
+@pytest.mark.parametrize("approximant", [psi1_approximant, psi2_approximant])
+def test_empty_slope_lattice_has_no_approximant(bumpy, approximant):
+    # no k/64 lies in [0.501, 0.51]
+    w = bumpy.with_values(bumpy.values, 0.501, 0.51)
+    with pytest.raises(NoEnvelopeError):
+        approximant(w, 1, 64)
 
 
 def test_psi2_zero_weight_normalized_measure():
