@@ -13,8 +13,9 @@ below u whose derivative stays in I.  Two independent routes are provided:
   psi1 and the 2-d envelope's column-by-column u* use it too.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
-  by a monotone chain with cross-product predicates and then clamps the
-  hull slopes to I.  It serves as the independent oracle.
+  in the primal plane, with cross-product predicates and no line
+  envelope, and then clamps the hull slopes to I.  It serves as the
+  independent oracle.
 
 The line envelope merges convex runs.  One vectorized pass computes the
 crossings of neighbouring lines and drops every line at which they do not
@@ -32,11 +33,21 @@ crossings of near-collinear lines in order; lines collinear to within an
 ulp may keep a different one of the lines that only touch the envelope.
 The tests hold the stack as the differential oracle.
 
-The monotone chain walks every point.  It converts its inputs to lists of
-Python floats before the loop: indexing a list is several times cheaper
-than pulling numpy scalars one at a time, and a Python float is an IEEE
-double, so every comparison gives the same bits as numpy float64
-arithmetic.
+The lower hull is a level-synchronous quickhull (Barber, Dobkin and
+Huhdanpaa 1996) over index arrays that keeps collinear points.  Its one
+predicate is turn(a, p, b) = (s_b - s_a)(u_p - u_a) - (s_p - s_a)(u_b - u_a),
+negative when p lies strictly below the chord from a to b.  One vectorized
+pass drops every point above the chord of its two neighbours.  Then all
+chords between the hull points found so far are refined at once: a chord
+whose in-between points all survive spans a convex run and takes them all;
+a chord with nothing strictly below it is final and takes the points on
+it; any other chord takes its first lowest point and keeps only the points
+strictly below it.  A weight of a few convex runs and concave stretches
+needs a handful of such levels, each a few array passes.  The hull is the
+one-point-at-a-time monotone chain's whenever rounding decides no turn
+differently, as on integer data; within an ulp of collinear the two may
+keep different points, and their envelopes differ by a few ulps.  The
+tests hold the chain as the differential oracle.
 
 Affine extrapolation tails never cut below either construction as long as
 I sits inside [slope_left, slope_right], which is enforced.
@@ -235,22 +246,51 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     return SampledWeight(s, env, lo, hi)
 
 
+def _turn(s, u, a, p, b):
+    """(s_b - s_a)(u_p - u_a) - (s_p - s_a)(u_b - u_a), for index arrays or
+    slices: negative when p lies strictly below the chord from a to b."""
+    sa, ua = s[a], u[a]
+    return (s[b] - sa) * (u[p] - ua) - (s[p] - sa) * (u[b] - ua)
+
+
 def _monotone_chain_lower(s, u):
-    """Indices of the lower convex hull of the graph, collinear points kept."""
-    s = np.asarray(s, dtype=float).tolist()
-    u = np.asarray(u, dtype=float).tolist()
-    hull: list[int] = []
-    for i in range(len(s)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            # pop only on a strictly concave turn, so affine runs survive
-            cross = (s[b] - s[a]) * (u[i] - u[a]) - (s[i] - s[a]) * (u[b] - u[a])
-            if cross < 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return np.array(hull, dtype=int)
+    """Indices of the lower convex hull of the graph, collinear points kept,
+    by the level-synchronous quickhull of the module docstring."""
+    s = np.asarray(s, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = s.size
+    if n < 3:
+        return np.arange(n)
+    # a point strictly above the chord of its neighbours is never on the hull
+    mid = _turn(s, u, slice(None, -2), slice(1, -1), slice(2, None))
+    pts = np.flatnonzero(mid <= 0.0) + 1
+    hull = [np.array([0, n - 1])]
+    ends = hull[0]
+    while pts.size:
+        # group the points by the chord (a, b) of ``ends`` bracketing them
+        c = np.searchsorted(ends, pts) - 1
+        a, b = ends[c], ends[c + 1]
+        new = np.concatenate(([True], c[1:] != c[:-1]))
+        first = np.flatnonzero(new)
+        g = np.cumsum(new) - 1
+        t = _turn(s, u, a, pts, b)
+        tmin = np.minimum.reduceat(t, first)
+        # a chord with every point in between still present spans a convex
+        # run (each of them passed the neighbour test): all are on the hull
+        run = np.bincount(g) == (b - a - 1)[first]
+        split = (tmin < 0.0) & ~run
+        # a final chord (nothing strictly below) keeps its collinear points
+        hull.append(pts[run[g] | (~split[g] & (t == 0.0))])
+        # a split chord's first lowest point joins the hull; only the points
+        # strictly below the chord can still be on it
+        low = np.where(t == tmin[g], np.arange(t.size), t.size)
+        at = np.minimum.reduceat(low, first)[split]
+        hull.append(pts[at])
+        ends = np.column_stack((a[first][split], pts[at], b[first][split])).ravel()
+        keep = split[g] & (t < 0.0)
+        keep[at] = False
+        pts = pts[keep]
+    return np.sort(np.concatenate(hull))
 
 
 def hull_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:

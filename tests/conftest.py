@@ -69,6 +69,19 @@ def weights_of_degree(draw, min_degree=1):
     return noise_weight(rng, 257, d, kind == "walk"), d
 
 
+@st.composite
+def ulp_collinear_weights(draw):
+    """u = 0.1 s + 0.3 on a uniform grid of 3 to 64 points, each value moved
+    by -1e-15, 0 or 1e-15: every triple of points is collinear to within an
+    ulp or two, so rounding decides each cross product and each crossing."""
+    n = draw(st.integers(min_value=3, max_value=64))
+    span = draw(st.floats(min_value=1.0, max_value=40.0))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    s = np.linspace(-span, span, n)
+    jitter = np.random.default_rng(seed).choice([-1e-15, 0.0, 1e-15], n)
+    return SampledWeight(s, 0.1 * s + 0.3 + jitter, 0.0, 1.0)
+
+
 def model_pair(n=513, d_A=2, d_L=1, seed=None):
     """Model bundle pair: convex phi_A, bumpy phi_L."""
     s = np.linspace(-20.0, 20.0, n)

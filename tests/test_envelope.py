@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,12 @@ from hypothesis import strategies as st
 
 from envlab import (NoEnvelopeError, SampledWeight, SlopeInterval, checks,
                     convexity_defect, equilibrium_envelope, hull_envelope)
+from envlab import envelope
 from envlab.envelope import (_conjugate_1d, _monotone_chain_lower,
                              _upper_line_envelope)
 from conftest import (bumpy_model_weight, noise_weight,
-                      piecewise_quadratic_weight, soft_plus, weights_of_degree)
+                      piecewise_quadratic_weight, soft_plus,
+                      ulp_collinear_weights, weights_of_degree)
 
 
 def _softplus_weight(n=4097):
@@ -207,6 +211,29 @@ def test_duplicate_lines_keep_the_first():
     assert keep.tolist() == [0, 2, 5] and cross.tolist() == [-5.0, 5.0]
 
 
+def _chain_lower_hull(s, u):
+    """One point at a time: before pushing a point, pop every hull point
+    strictly above the chord from its predecessor to the new point.
+
+    The route ``_monotone_chain_lower`` had before it became a
+    level-synchronous quickhull, kept as its differential oracle.
+    """
+    s = np.asarray(s, dtype=float).tolist()
+    u = np.asarray(u, dtype=float).tolist()
+    hull: list[int] = []
+    for i in range(len(s)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # pop only on a strictly concave turn, so affine runs survive
+            cross = (s[b] - s[a]) * (u[i] - u[a]) - (s[i] - s[a]) * (u[b] - u[a])
+            if cross < 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return np.array(hull, dtype=int)
+
+
 def test_monotone_chain_lower_brute_force():
     rng = np.random.default_rng(11)
     # integer data keeps every cross product exact: |s - 20| is two
@@ -214,16 +241,53 @@ def test_monotone_chain_lower_brute_force():
     s = np.arange(41)
     u = np.abs(s - 20) + np.where(rng.random(41) < 0.3,
                                   rng.integers(1, 4, 41), 0)
-    hull = _monotone_chain_lower(s.astype(float), u.astype(float))
-    assert hull[0] == 0 and hull[-1] == 40 and np.all(np.diff(hull) > 0)
-    a, b = hull[:-1], hull[1:]
-    turn = ((s[b] - s[a])[:, None] * (u[None, :] - u[a][:, None])
-            - (s[None, :] - s[a][:, None]) * (u[b] - u[a])[:, None])
-    assert np.all(turn >= 0)  # every point on or above every hull edge
-    on_hull = u == np.interp(s, s[hull], u[hull])
-    assert np.array_equal(np.flatnonzero(on_hull), hull)  # collinear kept
-    for s_in, u_in in ((s, u), (s.tolist(), u.tolist())):
-        assert np.array_equal(_monotone_chain_lower(s_in, u_in), hull)
+    for lower_hull in (_monotone_chain_lower, _chain_lower_hull):
+        hull = lower_hull(s.astype(float), u.astype(float))
+        assert hull[0] == 0 and hull[-1] == 40 and np.all(np.diff(hull) > 0)
+        a, b = hull[:-1], hull[1:]
+        turn = ((s[b] - s[a])[:, None] * (u[None, :] - u[a][:, None])
+                - (s[None, :] - s[a][:, None]) * (u[b] - u[a])[:, None])
+        assert np.all(turn >= 0)  # every point on or above every hull edge
+        on_hull = u == np.interp(s, s[hull], u[hull])
+        assert np.array_equal(np.flatnonzero(on_hull), hull)  # collinear kept
+        for s_in, u_in in ((s, u), (s.tolist(), u.tolist())):
+            assert np.array_equal(lower_hull(s_in, u_in), hull)
+
+
+def _hull_cases():
+    """(id, s, u, hull or None) for shapes a chord-splitting hull can get
+    wrong: few points, ties everywhere, one long convex run, many levels."""
+    s41 = np.arange(41.0)
+    spike = np.zeros(41)
+    spike[17] = 5.0
+    big = 65536
+    s_big = np.linspace(-20.0, 20.0, big)
+    lifted = np.exp(s_big) + np.where(np.arange(big) % 2 == 1, 1e-3, 0.0)
+    return [("n2", np.array([0.0, 1.0]), np.array([3.0, -1.0]), [0, 1]),
+            ("n3-above", np.arange(3.0), np.array([0.0, 1.0, 0.0]), [0, 2]),
+            ("n3-below", np.arange(3.0), np.array([0.0, -1.0, 0.0]), [0, 1, 2]),
+            ("n3-collinear", np.arange(3.0), np.array([0.0, 1.0, 2.0]),
+             [0, 1, 2]),
+            ("affine", s41, 3.0 * s41 - 7.0, np.arange(41)),
+            ("constant", s41, np.full(41, 2.5), np.arange(41)),
+            ("spike", s41, spike, np.delete(np.arange(41), 17)),
+            ("two-collinear-runs", s41, np.abs(s41 - 20.0), np.arange(41)),
+            # one convex run: the first level takes every point at once
+            ("parabola-65536", np.arange(float(big)),
+             (np.arange(float(big)) - big // 2) ** 2, np.arange(big)),
+            # the convex points are not consecutive, so every chord splits
+            # and the hull takes many levels
+            ("exp-alternate-lifted-65536", s_big, lifted, None)]
+
+
+@pytest.mark.parametrize("s, u, want", [pytest.param(s, u, h, id=name)
+                                        for name, s, u, h in _hull_cases()])
+def test_monotone_chain_lower_degenerate_shapes(s, u, want):
+    hull = _monotone_chain_lower(s, u)
+    assert hull.dtype == int
+    assert np.array_equal(hull, _chain_lower_hull(s, u))
+    if want is not None:
+        assert np.array_equal(hull, want)
 
 
 @st.composite
@@ -260,9 +324,13 @@ def test_envelope_monotone_in_weight(w):
     assert (lower - upper).max() <= 1e-10
 
 
+def _ulp_tolerance(w):
+    return 1e-15 * max(1.0, float(np.abs(w.values).max()))
+
+
 @settings(max_examples=100, deadline=None)
-@given(weights())
-def test_dual_routes_agree_on_drawn_weights(w):
+@given(weights(), ulp_collinear_weights())
+def test_dual_routes_agree_on_drawn_weights(w, near):
     iv = SlopeInterval(0.0, w.slope_right)
     a = equilibrium_envelope(w, iv).values
     b = hull_envelope(w, iv).values
@@ -270,3 +338,37 @@ def test_dual_routes_agree_on_drawn_weights(w):
     keep, cross = _upper_line_envelope(w.grid, -w.values)
     want_keep, want_cross = _stack_line_envelope(w.grid, -w.values)
     assert np.array_equal(keep, want_keep) and np.array_equal(cross, want_cross)
+    # within an ulp of collinear the two may keep different touching lines,
+    # but the envelopes agree at every crossing of either and beyond them
+    s, c = near.grid, -near.values
+    keep, cross = _upper_line_envelope(s, c)
+    want_keep, want_cross = _stack_line_envelope(s, c)
+    x = np.concatenate((cross, want_cross, [cross.min() - 1.0, cross.max() + 1.0]))
+    got = (s[keep] * x[:, None] + c[keep]).max(axis=1)
+    want = (s[want_keep] * x[:, None] + c[want_keep]).max(axis=1)
+    assert np.abs(got - want).max() <= _ulp_tolerance(near)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights(), ulp_collinear_weights())
+def test_lower_hull_matches_chain(w, near):
+    assert np.array_equal(_monotone_chain_lower(w.grid, w.values),
+                          _chain_lower_hull(w.grid, w.values))
+    # integer data: every cross product exact, with many exact ties
+    s = np.arange(w.grid.size, dtype=float)
+    u = np.round(8.0 * w.values)
+    assert np.array_equal(_monotone_chain_lower(s, u), _chain_lower_hull(s, u))
+    # within an ulp of collinear the index sets may differ, the values not
+    iv = SlopeInterval(0.0, 1.0)
+    got = hull_envelope(near, iv).values
+    with mock.patch.object(envelope, "_monotone_chain_lower", _chain_lower_hull):
+        want = hull_envelope(near, iv).values
+    assert np.abs(got - want).max() <= _ulp_tolerance(near)
+
+
+def test_dual_routes_agree_at_fine_grid_size(rng):
+    w = piecewise_quadratic_weight(rng, n=65536, d=2)
+    iv = SlopeInterval(0.0, 2.0)
+    a = equilibrium_envelope(w, iv).values
+    b = hull_envelope(w, iv).values
+    assert np.abs(a - b).max() <= 1e-8
