@@ -87,8 +87,10 @@ def _upper_line_envelope(slopes, intercepts):
         m, b = m[idx], b[idx]
     # Crossings of neighbouring lines.  Where they fail to increase strictly
     # the middle line never reaches the envelope; what is left falls into
-    # runs of consecutive lines that are each their own envelope.
-    x = (b[:-1] - b[1:]) / (m[1:] - m[:-1])
+    # runs of consecutive lines that are each their own envelope.  With |u|
+    # near 1e308 or slopes 5e-324 apart a crossing overflows to +-inf.
+    with np.errstate(over="ignore"):
+        x = (b[:-1] - b[1:]) / (m[1:] - m[:-1])
     up = x[1:] > x[:-1]
     if up.all():
         return idx, x
@@ -250,7 +252,9 @@ def _turn(s, u, a, p, b):
     """(s_b - s_a)(u_p - u_a) - (s_p - s_a)(u_b - u_a), for index arrays or
     slices: negative when p lies strictly below the chord from a to b."""
     sa, ua = s[a], u[a]
-    return (s[b] - sa) * (u[p] - ua) - (s[p] - sa) * (u[b] - ua)
+    # differences of values near 1e308 overflow to +-inf
+    with np.errstate(over="ignore"):
+        return (s[b] - sa) * (u[p] - ua) - (s[p] - sa) * (u[b] - ua)
 
 
 def _monotone_chain_lower(s, u):

@@ -8,15 +8,25 @@ transform restricted to P:
 
 u* is convex and piecewise linear, so for each x the maximum over P sits at
 a vertex of u*'s linearity cells cut by P (discrete Legendre transform,
-Lucet 1997).  :func:`equilibrium_envelope_2d` collects every such vertex:
+Lucet 1997).  Those vertices are
 
 (a) gradients of the lower-hull facets of the lifted cloud (tau, s, u) that
     lie in P; they are the vertices of the cells (Qhull);
 (b) kinks of u* along each edge of P, from the 1-d upper line envelope;
 (c) the vertices of P.
 
-u* is then evaluated exactly at every candidate slope, so each candidate
-plane is a minorant of u at every node by construction.  The evaluation
+:func:`equilibrium_envelope_2d` needs u* at (b) and (c) only.  A facet with
+gradient in P carries a plane that is an admissible competitor (affine,
+gradient in P, below u at every node), and the unconstrained lower hull,
+an upper bound for the envelope, equals that plane over the facet's
+projected triangle.  So every node inside or on such a triangle takes the
+facet's plane, and its vertices take u exactly; the triangles are scanned
+row by row over the grid.  At every other node no maximiser lies at an
+(a) slope, since a maximiser there would put the node in that facet's
+triangle, so the maximum over the boundary slopes (b) and (c) is exact.
+
+u* is evaluated exactly at those boundary slopes, so each of their planes
+is a minorant of u at every node by construction.  The evaluation
 separates the axes, the 2-d step of Lucet's linear-time Legendre
 transform (Lucet 1997, Numerical Algorithms 16):
 
@@ -25,16 +35,10 @@ transform (Lucet 1997, Numerical Algorithms 16):
 
 where each c_j is the 1-d conjugate of grid column j, read off its upper
 line envelope by the same lookup the 1-d envelope uses, so u* costs one
-line-envelope pass per column and one binary search per candidate and
+line-envelope pass per column and one binary search per slope and
 column instead of a plane maximum over every node.  With the axes swapped
 the same holds row by row; the loop runs over whichever axis has fewer
 nodes.
-
-The back transform is localized.  A lower-hull facet whose gradient lies in
-P carries a plane that is an admissible competitor (affine, gradient in P,
-below u at every node) and touches u at the facet's vertices, so the
-envelope equals u at those nodes exactly; only the remaining nodes take the
-maximum over every candidate plane.
 
 The independent oracle :func:`hull_envelope_2d` evaluates the lower-hull
 facet planes themselves and ignores P.
@@ -148,23 +152,49 @@ def _edge_kinks(p, q, nodes, uu):
     return p + lam[:, None] * d
 
 
-def _candidates(poly, nodes, uu):
-    """Candidate slopes (a)-(c), and the nodes where the envelope is u."""
-    cand = [poly]
-    exact = np.zeros(uu.size, dtype=bool)
-    if poly.shape[0] >= 3:
-        # a segment or point P has no interior, so (b) and (c) suffice
-        grad, _, simplices = _lower_facet_planes(nodes, uu)
-        inside = _in_polygon(grad, poly)
-        cand.append(grad[inside])
-        # an in-P facet plane is an admissible minorant touching u at the
-        # facet's vertices
-        exact[simplices[inside].ravel()] = True
-        edges = zip(poly, np.roll(poly, -1, axis=0))
-    else:
-        edges = zip(poly[:-1], poly[1:])
-    cand += [_edge_kinks(p, q, nodes, uu) for p, q in edges]
-    return np.unique(np.concatenate(cand), axis=0), exact
+def _facet_cover(w: SampledWeight2D, grad, offset, tri):
+    """Largest plane grad_k . x + offset_k among the projected triangles
+    ``tri`` (k, 3 flat node indices) that cover each node; -inf at a node
+    no triangle covers.
+
+    Each triangle is scanned row by row in (tau, s) coordinates: on grid
+    row tau_i its s-range runs from the long edge (lowest to highest tau
+    vertex) to the edge through the middle vertex.  The range is widened
+    by 1e-12 of the s-span, so rounding never drops a node; a node only
+    the widening adds takes another in-P plane, a minorant there too.
+    """
+    gt, gs = w.grid_tau, w.grid_s
+    i, j = np.divmod(tri, gs.size)
+    # a triangle inside one grid cell covers no node but its vertices; one
+    # with every vertex on one row has no area, and the other triangles of
+    # its facet cover that row
+    rows = np.ptp(i, axis=1)
+    wide = (rows > 1) | ((rows == 1) & (np.ptp(j, axis=1) > 1))
+    order = np.argsort(i[wide], axis=1)
+    i = np.take_along_axis(i[wide], order, axis=1)
+    j = np.take_along_axis(j[wide], order, axis=1)
+    grad, offset = grad[wide], offset[wide]
+    # one (triangle, row) pair per grid row from the lowest vertex up
+    rows = rows[wide] + 1
+    k = np.repeat(np.arange(rows.size), rows)
+    r = np.arange(k.size) - np.repeat(np.cumsum(rows) - rows - i[:, 0], rows)
+    tau = gt[r]
+    (t0, t1, t2), (s0, s1, s2) = gt[i[k]].T, gs[j[k]].T
+    long = s0 + (s2 - s0) * ((tau - t0) / (t2 - t0))
+    # below the middle vertex the edge v0 v1 (all of it when it is flat),
+    # above it the edge v1 v2
+    lam01 = np.divide(tau - t0, t1 - t0, out=np.ones_like(tau), where=t1 > t0)
+    lam12 = np.divide(tau - t1, t2 - t1, out=np.zeros_like(tau), where=t2 > t1)
+    short = np.where(tau <= t1, s0 + (s1 - s0) * lam01, s1 + (s2 - s1) * lam12)
+    pad = 1e-12 * (gs[-1] - gs[0])
+    lo = np.searchsorted(gs, np.minimum(long, short) - pad)
+    n = np.searchsorted(gs, np.maximum(long, short) + pad, side="right") - lo
+    k, r = np.repeat(k, n), np.repeat(r, n)
+    col = np.arange(k.size) - np.repeat(np.cumsum(n) - n - lo, n)
+    out = np.full(gt.size * gs.size, -np.inf)
+    np.maximum.at(out, r * gs.size + col,
+                  grad[k, 0] * gt[r] + grad[k, 1] * gs[col] + offset[k])
+    return out
 
 
 def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
@@ -174,9 +204,26 @@ def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
     along every grid line.
     """
     nodes, uu = _node_arrays(w)
-    cand, exact = _candidates(w.slope_polytope, nodes, uu)
-    rest = ~exact
+    poly = w.slope_polytope
     env = uu.copy()
+    rest = np.ones(uu.size, dtype=bool)
+    if poly.shape[0] >= 3:
+        grad, offset, simplices = _lower_facet_planes(nodes, uu)
+        inside = _in_polygon(grad, poly)
+        if simplices.shape[1] == 3:
+            # (the affine fallback's one plane has every node as a vertex)
+            env = np.minimum(_facet_cover(w, grad[inside], offset[inside],
+                                          simplices[inside]), uu)
+            rest = env == -np.inf
+        # an in-P facet plane touches u at the facet's vertices
+        exact = simplices[inside].ravel()
+        env[exact] = uu[exact]
+        rest[exact] = False
+        edges = zip(poly, np.roll(poly, -1, axis=0))
+    else:
+        # a segment or point P has no interior
+        edges = zip(poly[:-1], poly[1:])
+    cand = np.concatenate([poly] + [_edge_kinks(p, q, nodes, uu) for p, q in edges])
     back = _max_of_planes(cand, -_conjugate(w, cand), nodes[rest])
     env[rest] = np.minimum(back, uu[rest])
     return w.with_values(env.reshape(w.values.shape))

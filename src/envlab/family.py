@@ -88,22 +88,30 @@ def mixed_degree(pair: ModelBundlePair, t: float) -> float:
     return t * pair.d_A + (1.0 - t) * pair.d_L
 
 
+def _check_t(t):
+    """Raise InvalidParameterError unless every t lies in [0, 1]."""
+    t = np.asarray(t, dtype=float).ravel()
+    bad = t[~((t >= 0.0) & (t <= 1.0))]
+    if bad.size:
+        raise InvalidParameterError(f"t must lie in [0, 1], got {bad[0]}")
+
+
 def mix_weights(pair: ModelBundlePair, t: float) -> SampledWeight:
     """The mixture t phi_A + (1-t) phi_L with its interpolated slope data."""
     t = float(t)
-    if not (0.0 <= t <= 1.0):
-        raise InvalidParameterError(f"t must lie in [0, 1], got {t}")
+    _check_t(t)
     vals = t * pair.phi_A.values + (1.0 - t) * pair.phi_L.values
     return SampledWeight(pair.grid, vals, 0.0, mixed_degree(pair, t))
 
 
 @dataclass(frozen=True)
 class FamilyCurve:
-    """Envelope offsets psi_t <= 0 sampled along a t-grid."""
+    """Envelope offsets psi_t <= 0 sampled along a t-grid: row i of the
+    (n_t, n) array ``psi`` is psi at t_grid[i]."""
 
     pair: ModelBundlePair
     t_grid: np.ndarray
-    psi: tuple  # tuple of SampledWeight, aligned with t_grid
+    psi: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
@@ -111,13 +119,11 @@ class FamilyCurve:
             raise InvalidInputError("t_grid must be strictly increasing")
         if t[0] < 0.0 or t[-1] > 1.0:
             raise InvalidInputError("t_grid must lie in [0, 1]")
-        if len(self.psi) != t.size:
-            raise InvalidInputError("psi must align with t_grid")
+        psi = np.asarray(self.psi, dtype=float)
+        if psi.shape != (t.size, self.pair.grid.size):
+            raise InvalidInputError("psi must hold one row per t on the pair grid")
         object.__setattr__(self, "t_grid", t)
-        object.__setattr__(self, "psi", tuple(self.psi))
-
-    def psi_matrix(self) -> np.ndarray:
-        return np.stack([p.values for p in self.psi])
+        object.__setattr__(self, "psi", psi)
 
 
 def default_t_grid(n: int = 257) -> np.ndarray:
@@ -130,17 +136,23 @@ def monotone_t_grid(n: int = 101) -> np.ndarray:
     return np.linspace(0.0, T_CAP, n)
 
 
-def envelope_offset(pair: ModelBundlePair, t: float) -> SampledWeight:
-    mix = mix_weights(pair, t)
-    env = equilibrium_envelope(mix, SlopeInterval(0.0, mixed_degree(pair, t)))
-    return mix.with_values(env.values - mix.values, 0.0, 0.0)
+def _psi_row(pair: ModelBundlePair, t: float) -> np.ndarray:
+    """psi_t = (mixture)_e - mixture, from one envelope call; t in [0, 1]."""
+    mix = t * pair.phi_A.values + (1.0 - t) * pair.phi_L.values
+    d = mixed_degree(pair, t)
+    env = equilibrium_envelope(SampledWeight(pair.grid, mix, 0.0, d),
+                               SlopeInterval(0.0, d))
+    return env.values - mix
 
 
 def family_curve(pair: ModelBundlePair, t_grid=None) -> FamilyCurve:
     """Envelope offsets psi_t for every t in the grid."""
     t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    psis = tuple(envelope_offset(pair, float(t)) for t in t_grid)
-    return FamilyCurve(pair, t_grid, psis)
+    _check_t(t_grid)
+    psi = np.empty((t_grid.size, pair.grid.size))
+    for i, t in enumerate(t_grid.tolist()):
+        psi[i] = _psi_row(pair, t)
+    return FamilyCurve(pair, t_grid, psi)
 
 
 def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationReport:
@@ -148,8 +160,10 @@ def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationRep
     if fc.t_grid[-1] >= 1.0:
         raise InvalidParameterError(
             "monotonicity check requires a t-grid strictly below 1")
-    h = fc.psi_matrix() / (1.0 - fc.t_grid)[:, None]
-    violation = float(np.maximum(0.0, -np.diff(h, axis=0)).max())
+    h = fc.psi / (1.0 - fc.t_grid)[:, None]
+    drop = -np.diff(h, axis=0)
+    # in place: one (n_t, n) temporary fewer at the family's peak memory
+    violation = float(np.maximum(0.0, drop, out=drop).max())
     return VerificationReport(
         check="family-monotonicity",
         max_violation=violation,
@@ -171,14 +185,16 @@ def check_right_continuity(fc: FamilyCurve,
         t_values = interior[:: max(1, interior.size // 8)]
     # psi_t on the family's own grid is already computed, the same way
     on_grid = dict(zip(fc.t_grid.tolist(), fc.psi))
+    t_values = np.asarray(t_values, dtype=float)
+    _check_t(np.concatenate([t_values, t_values + _DELTAS[0]]))
     ladders = {}
     worst_increase = 0.0
-    for t in np.asarray(t_values, dtype=float):
-        psi = on_grid[t] if t in on_grid else envelope_offset(fc.pair, t)
-        base = psi.values / (1.0 - t)
+    for t in t_values.tolist():
+        psi = on_grid[t] if t in on_grid else _psi_row(fc.pair, t)
+        base = psi / (1.0 - t)
         resid = []
         for d in _DELTAS:
-            ahead = envelope_offset(fc.pair, t + d).values / (1.0 - t - d)
+            ahead = _psi_row(fc.pair, t + d) / (1.0 - t - d)
             resid.append(float(np.abs(ahead - base).max()))
         for r_coarse, r_fine in zip(resid, resid[1:]):
             worst_increase = max(worst_increase, r_fine - r_coarse)
@@ -212,8 +228,8 @@ def fibered_weight(pair: ModelBundlePair, fc: FamilyCurve,
     t = fc.t_grid
     if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
         raise InvalidParameterError("t-grid must include the endpoints 0 and 1")
-    env = np.stack([mix_weights(pair, float(ti)).values + p.values
-                    for ti, p in zip(t, fc.psi)])
+    env = (t[:, None] * pair.phi_A.values + (1.0 - t)[:, None] * pair.phi_L.values
+           + fc.psi)
     vals = np.empty((tau_grid.size, pair.grid.size))
     for i, tau in enumerate(tau_grid):
         vals[i] = (t[:, None] * tau + env).max(axis=0)

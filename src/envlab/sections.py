@@ -173,7 +173,7 @@ def _log_norms_squared(w, lattice, m):
 def psi2_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
     """L2-normalized monomial approximant against the base density."""
     lattice = _slope_lattice(w, d, m)
-    return _lattice_max(w, lattice, (1.0 / m) * _log_norms_squared(w, lattice, m))
+    return _lattice_max(w, lattice, _log_norms_squared(w, lattice, m) / m)
 
 
 def unit_boxes(lo: float, hi: float):

@@ -76,16 +76,29 @@ def test_fiber_gamma_identity():
             f"{'agree' if d['normalizations_agree'] else 'DISAGREE'}")
 
 
-def test_envelope_gap_bound():
+@pytest.fixture(scope="module")
+def gap_bound():
+    """The 128 x 128 gap-bound problem: its report and wall time."""
     t0 = time.time()
     pair = model_pair(n=128, d_A=2, d_L=1)
     fw = fibered_weight(pair, family_curve(pair, default_t_grid(129)),
                         np.linspace(-30.0, 10.0, 128))
     rep = minimal_singularity_gap(pair, fw)
-    elapsed = time.time() - t0
+    return rep, time.time() - t0
+
+
+def test_envelope_gap_bound(gap_bound):
+    rep, elapsed = gap_bound
     _report("envelope-gap-bound", rep.passed and elapsed < 60.0,
             f"observed gap {rep.details['observed_gap']:.4f} <= "
             f"C {rep.details['C']:.4f}, {elapsed:.1f}s (budget 60s)")
+
+
+def test_envelope_gap_value(gap_bound):
+    # gap <= C leaves room for any drift in the family, fibered-weight or
+    # 2-d envelope arithmetic; the observed gap itself is pinned
+    gap = gap_bound[0].details["observed_gap"]
+    assert abs(gap - 0.6919354635176505) <= 1e-12
 
 
 def test_section_sandwich():

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -288,6 +289,50 @@ def test_monotone_chain_lower_degenerate_shapes(s, u, want):
     assert np.array_equal(hull, _chain_lower_hull(s, u))
     if want is not None:
         assert np.array_equal(hull, want)
+
+
+def _extreme_cases():
+    """(id, s, u, hull route too): inputs at the ends of the float range."""
+    top = np.array([1e308, -1e308, 1e308, 0.0, -1e308, 1e308, 5e307,
+                    -1e308, 1e308])
+    bumps = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 3.0, 0.0, 1.0])
+    # a grid spanning +-1e308 makes the turn predicate take inf * 0, an
+    # invalid operation that still warns, so only the dual route runs there
+    return [("values-1e308", np.linspace(-1.0, 1.0, 9), top, True),
+            ("spacing-5e-324", np.arange(9) * 5e-324, bumps, True),
+            ("spacing-5e-324-values-1e308", np.arange(9) * 5e-324, top, True),
+            ("span-1e308", np.linspace(-1.0, 1.0, 9) * 1e308, bumps, False)]
+
+
+@pytest.mark.parametrize("s, u, hull_too", [
+    pytest.param(s, u, h, id=name) for name, s, u, h in _extreme_cases()])
+def test_extreme_inputs_overflow_silently(s, u, hull_too):
+    # differences of values near 1e308 and crossings of slopes 5e-324 apart
+    # overflow to +-inf; no warning reaches the caller, and the routes still
+    # match their per-point oracles
+    iv = SlopeInterval(0.0, 1.0)
+    w = SampledWeight(s, u, 0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keep, cross = _upper_line_envelope(s, -u)
+        dual = equilibrium_envelope(w, iv).values
+        if hull_too:
+            hull = _monotone_chain_lower(s, u)
+            primal = hull_envelope(w, iv).values
+    want_keep, want_cross = _stack_line_envelope(s, -u)
+    assert np.array_equal(keep, want_keep) and np.array_equal(cross, want_cross)
+    assert np.all(np.isfinite(dual)) and np.all(dual <= u)
+    if hull_too:
+        assert np.array_equal(hull, _chain_lower_hull(s, u))
+        assert np.array_equal(dual, primal)
+
+
+def test_turn_still_warns_on_invalid():
+    # inf - inf is not an overflow: that warning still reaches the caller
+    s = np.array([-1e308, 5e307, 1e308])
+    u = np.array([0.0, 1e308, 1e308])
+    with pytest.warns(RuntimeWarning, match="invalid"):
+        assert np.isnan(envelope._turn(s, u, 0, 1, 2))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from scipy.spatial import ConvexHull, QhullError
 from envlab import (InvalidInputError, SampledWeight2D,
                     equilibrium_envelope_2d, grid_line_defects,
                     hull_envelope_2d, naive_fibered_weight)
-from envlab.envelope2d import (_candidates, _in_polygon, _lower_facet_planes,
+from envlab.envelope2d import (_edge_kinks, _in_polygon, _lower_facet_planes,
                                _node_arrays)
 from conftest import model_pair
 
@@ -128,10 +128,20 @@ def test_degenerate_inputs_match_lp_oracle(vals, poly):
 
 
 def _dense_two_pass(w):
-    """Oracle: the same candidate slopes, with u* a plane maximum over every
-    node and the back transform a plane maximum over every candidate."""
+    """Oracle: every vertex of u*'s linearity cells cut by P as a candidate
+    slope (in-P lower-facet gradients, kinks of u* along the edges of P and
+    P's vertices), u* a plane maximum over every node and the back
+    transform a plane maximum over every candidate."""
     nodes, uu = _node_arrays(w)
-    cand, _ = _candidates(w.slope_polytope, nodes, uu)
+    poly = w.slope_polytope
+    cand = [poly]
+    if poly.shape[0] >= 3:
+        grad = _lower_facet_planes(nodes, uu)[0]
+        cand.append(grad[_in_polygon(grad, poly)])
+        edges = zip(poly, np.roll(poly, -1, axis=0))
+    else:
+        edges = zip(poly[:-1], poly[1:])
+    cand = np.concatenate(cand + [_edge_kinks(p, q, nodes, uu) for p, q in edges])
     blocks = range(0, cand.shape[0], 256)
     ustar = np.concatenate([(cand[k:k + 256] @ nodes.T - uu).max(axis=1)
                             for k in blocks])
@@ -155,6 +165,29 @@ def _naive_64():
                                 np.linspace(-30.0, 10.0, 64))
 
 
+def _naive_wide_tau():
+    """Far from tau = 0 the log-sum weight is affine in tau, so Qhull's
+    lower facets there are large and coplanar, spanning many cells."""
+    return naive_fibered_weight(model_pair(n=40, d_A=2, d_L=1),
+                                np.linspace(-300.0, 100.0, 40))
+
+
+def _naive_nonuniform_tau():
+    tau = np.concatenate(([-30.0], np.sort(np.random.default_rng(5).uniform(
+        -30.0, 10.0, 38)), [10.0]))
+    return naive_fibered_weight(model_pair(n=40, d_A=2, d_L=1), tau)
+
+
+def _bumpy_nonuniform(seed):
+    """Random grids on both axes, P a triangle."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(-3.0, 3.0, 30))
+    s = np.sort(rng.uniform(-2.0, 2.0, 41))
+    tt, ss = np.meshgrid(t, s, indexing="ij")
+    vals = 0.3 * (tt ** 2 + ss ** 2) + rng.normal(0.0, 0.5, tt.shape)
+    return SampledWeight2D(t, s, vals, [[-1.0, -1.5], [1.2, -0.5], [0.4, 1.3]])
+
+
 def _bumpy_rect(n_t, n_s):
     """Non-square grid, so u* loops over the shorter axis (rows when
     n_t < n_s)."""
@@ -164,13 +197,22 @@ def _bumpy_rect(n_t, n_s):
     return SampledWeight2D(t, s, vals, [[-1.0, -1.5], [1.2, -0.5], [0.4, 1.3]])
 
 
-@pytest.mark.parametrize("make", [
-    _naive_64,
+_OFF_P = np.array([[0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]])
+_WITH_FACETS = [_naive_64, _naive_wide_tau, _naive_nonuniform_tau,
+                lambda: _bumpy_nonuniform(1), lambda: _bumpy_nonuniform(2)]
+_WITH_FACETS_IDS = ["naive-cayley-64", "naive-wide-tau", "naive-nonuniform-tau",
+                    "nonuniform-1", "nonuniform-2"]
+
+
+@pytest.mark.parametrize("make", _WITH_FACETS + [
     lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.2, -0.5], [0.9, 0.4]]),
     lambda: SampledWeight2D(_T9, _S7, _BUMPY, [[0.3, 0.1]]),
     lambda: _bumpy_rect(7, 23),
     lambda: _bumpy_rect(23, 7),
-], ids=["naive-cayley-64", "segment-P", "point-P", "rows-7x23", "columns-23x7"])
+    lambda: SampledWeight2D(_T9, _S7, _AFFINE, BOX),
+    lambda: SampledWeight2D(_T9, _S7, _AFFINE, _OFF_P),
+], ids=_WITH_FACETS_IDS + ["segment-P", "point-P", "rows-7x23", "columns-23x7",
+                           "affine-inside-P", "affine-outside-P"])
 def test_matches_dense_two_pass(make):
     w = make()
     env = equilibrium_envelope_2d(w).values
@@ -179,6 +221,35 @@ def test_matches_dense_two_pass(make):
     assert np.all(env <= w.values)
     exact = _in_p_facet_vertices(w)
     assert np.array_equal(env.ravel()[exact], w.values.ravel()[exact])
+
+
+@pytest.mark.parametrize("make", _WITH_FACETS, ids=_WITH_FACETS_IDS)
+def test_nodes_under_in_p_facets_take_the_facet_plane(make):
+    """Brute force: the barycentric coordinates of every node in every
+    projected in-P facet; a node under a facet takes the plane through the
+    facet's three lifted vertices."""
+    w = make()
+    nodes, uu = _node_arrays(w)
+    grad, _, simplices = _lower_facet_planes(nodes, uu)
+    tri = simplices[_in_polygon(grad, w.slope_polytope)]
+    env = equilibrium_envelope_2d(w).values.ravel()
+    scale = max(1.0, float(np.abs(uu).max()))
+    a, b, c = (nodes[tri[:, k]] for k in range(3))
+    ab, ac = b - a, c - a
+    area = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    under = np.zeros(uu.size, dtype=bool)
+    for k in np.flatnonzero(area != 0.0):
+        rel = nodes - a[k]
+        lb = (rel[:, 0] * ac[k, 1] - rel[:, 1] * ac[k, 0]) / area[k]
+        lc = (ab[k, 0] * rel[:, 1] - ab[k, 1] * rel[:, 0]) / area[k]
+        la = 1.0 - lb - lc
+        hit = (la >= -1e-12) & (lb >= -1e-12) & (lc >= -1e-12)
+        plane = la * uu[tri[k, 0]] + lb * uu[tri[k, 1]] + lc * uu[tri[k, 2]]
+        assert np.abs(env[hit] - plane[hit]).max() <= 1e-12 * scale
+        under |= hit
+    # the check bites: some nodes under an in-P facet are not its vertices
+    under[tri.ravel()] = False
+    assert under.sum() >= 10
 
 
 def test_every_node_exact():
@@ -213,13 +284,22 @@ def test_grid_line_defects():
     assert grid_line_defects(-(tt ** 2), t, s) > 1.0
 
 
+def _spaced(rng, lo, hi, n):
+    """n grid points from lo to hi, neighbouring cells up to 7:1 apart."""
+    steps = np.cumsum(rng.uniform(0.25, 1.75, n - 1))
+    return lo + (hi - lo) * np.append(0.0, steps / steps[-1])
+
+
 @st.composite
 def bumpy_weights_2d(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     n_t = draw(st.integers(min_value=2, max_value=16))
     n_s = draw(st.integers(min_value=2, max_value=16))
     rng = np.random.default_rng(seed)
-    t, s = np.linspace(-3.0, 3.0, n_t), np.linspace(-2.0, 2.0, n_s)
+    if draw(st.booleans()):
+        t, s = _spaced(rng, -3.0, 3.0, n_t), _spaced(rng, -2.0, 2.0, n_s)
+    else:
+        t, s = np.linspace(-3.0, 3.0, n_t), np.linspace(-2.0, 2.0, n_s)
     tt, ss = np.meshgrid(t, s, indexing="ij")
     vals = 0.3 * (tt ** 2 + ss ** 2) + rng.normal(0.0, 0.5, tt.shape)
     cloud = rng.uniform(-1.5, 1.5, (6, 2))
@@ -228,6 +308,14 @@ def bumpy_weights_2d(draw):
 
 def _tol(w):
     return 1e-10 * max(1.0, float(np.abs(w.values).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(bumpy_weights_2d())
+def test_envelope_2d_matches_dense_two_pass(w):
+    env = equilibrium_envelope_2d(w).values
+    scale = max(1.0, float(np.abs(w.values).max()))
+    assert np.abs(env - _dense_two_pass(w)).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)

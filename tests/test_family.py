@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from envlab import (FamilyCurve, InvalidParameterError, check_monotone_family,
-                    check_right_continuity,
+from envlab import (FamilyCurve, InvalidInputError, InvalidParameterError,
+                    check_monotone_family, check_right_continuity,
                     equilibrium_envelope, family_curve, fibered_weight,
                     hull_envelope, minimal_singularity_gap, mix_weights,
                     monotone_t_grid, naive_fibered_weight, cayley_polytope,
@@ -31,8 +31,8 @@ def test_mix_endpoints(pair):
 
 
 def test_family_curve_nonpositive(fc):
-    for psi in fc.psi:
-        assert psi.values.max() <= 1e-12
+    assert fc.psi.shape == (fc.t_grid.size, fc.pair.grid.size)
+    assert fc.psi.max() <= 1e-12
 
 
 def test_family_offset_matches_hull_oracle(pair, fc):
@@ -40,7 +40,7 @@ def test_family_offset_matches_hull_oracle(pair, fc):
     t = float(fc.t_grid[i])
     mix = mix_weights(pair, t)
     oracle = hull_envelope(mix, SlopeInterval(0.0, mix.slope_right))
-    assert np.abs(fc.psi[i].values - (oracle.values - mix.values)).max() <= 1e-8
+    assert np.abs(fc.psi[i] - (oracle.values - mix.values)).max() <= 1e-8
 
 
 def test_convex_pair_gives_zero_family():
@@ -50,8 +50,7 @@ def test_convex_pair_gives_zero_family():
     from envlab import ModelBundlePair
     p0 = ModelBundlePair(convex, 1, convex, 1)
     fc0 = family_curve(p0, monotone_t_grid(11))
-    for psi in fc0.psi:
-        assert np.abs(psi.values).max() <= 1e-10
+    assert np.abs(fc0.psi).max() <= 1e-10
 
 
 def test_monotone_family(fc):
@@ -68,9 +67,9 @@ def test_monotone_family_rejects_t_equal_one(pair):
 
 def test_corrupted_family_fails(fc):
     from envlab import FamilyCurve
-    psi = list(fc.psi)
-    psi[10], psi[60] = psi[60], psi[10]
-    rep = check_monotone_family(FamilyCurve(fc.pair, fc.t_grid, tuple(psi)))
+    psi = fc.psi.copy()
+    psi[[10, 60]] = psi[[60, 10]]
+    rep = check_monotone_family(FamilyCurve(fc.pair, fc.t_grid, psi))
     assert not rep.passed
 
 
@@ -81,19 +80,48 @@ def test_right_continuity(pair, fc):
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
 
 
+def _count_envelopes(monkeypatch):
+    """Record the slope interval of every 1-d envelope the family takes."""
+    calls = []
+    envelope = family.equilibrium_envelope
+    monkeypatch.setattr(family, "equilibrium_envelope",
+                        lambda w, iv: calls.append(iv) or envelope(w, iv))
+    return calls
+
+
 def test_right_continuity_reuses_family_psi(pair, fc, monkeypatch):
     # on-grid t takes psi_t from the family: one envelope fewer per t and
     # the same report as a family whose grid lacks t
     t_values = fc.t_grid[[20, 50]]
     off_grid = FamilyCurve(pair, fc.t_grid[:2], fc.psi[:2])
     fresh = check_right_continuity(off_grid, t_values=t_values)
-    calls = []
-    offset = family.envelope_offset
-    monkeypatch.setattr(family, "envelope_offset",
-                        lambda p, t: calls.append(t) or offset(p, t))
+    calls = _count_envelopes(monkeypatch)
     rep = check_right_continuity(fc, t_values=t_values)
     assert len(calls) == 4 * t_values.size
     assert rep.to_dict() == fresh.to_dict()
+
+
+def test_family_curve_takes_one_envelope_per_t(pair, monkeypatch):
+    calls = _count_envelopes(monkeypatch)
+    fcc = family_curve(pair, [0.0, 0.25, 1.0])
+    assert [iv.sigma_max for iv in calls] == [
+        family.mixed_degree(pair, t) for t in (0.0, 0.25, 1.0)]
+    # an out-of-range t is refused before any envelope is taken
+    with pytest.raises(InvalidParameterError):
+        family_curve(pair, [0.0, 0.5, 1.5])
+    with pytest.raises(InvalidParameterError):
+        check_right_continuity(fcc, t_values=np.array([0.99]))
+    assert len(calls) == 3
+    mix = mix_weights(pair, 0.25)
+    env = equilibrium_envelope(mix, SlopeInterval(0.0, mix.slope_right))
+    assert np.array_equal(fcc.psi[1], env.values - mix.values)
+
+
+def test_family_curve_rows_must_match_the_grid(fc):
+    with pytest.raises(InvalidInputError):
+        FamilyCurve(fc.pair, fc.t_grid, fc.psi[:, 1:])
+    with pytest.raises(InvalidInputError):
+        FamilyCurve(fc.pair, fc.t_grid[1:], fc.psi)
 
 
 def test_fibered_weight_structure(pair):
