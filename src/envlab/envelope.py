@@ -9,8 +9,12 @@ below u whose derivative stays in I.  Two independent routes are provided:
   ``sigma * s - u*(sigma)`` over the kinks of u* clipped to I.  Both steps
   are exact for sampled data, so the route carries no slope-discretization
   error.  ``_conjugate_1d`` is the one place u* is read off that envelope
-  (one binary search in its crossings per slope); the section approximant
-  psi1 and the 2-d envelope's column-by-column u* use it too.
+  (one binary search in its crossings per slope); it returns u* and the
+  active grid index, and the section approximant psi1 and the 2-d
+  envelope's column-by-column u* use it too.  The back transform works in
+  index space: the active indices of the candidate slopes are
+  nondecreasing, so counting them (one ``bincount`` and one cumulative
+  sum) places every node among the candidates without a search.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   in the primal plane, with cross-product predicates and no line
@@ -47,7 +51,9 @@ needs a handful of such levels, each a few array passes.  The hull is the
 one-point-at-a-time monotone chain's whenever rounding decides no turn
 differently, as on integer data; within an ulp of collinear the two may
 keep different points, and their envelopes differ by a few ulps.  The
-tests hold the chain as the differential oracle.
+tests hold the chain as the differential oracle.  Values or grid points of
+2**510 or more are first scaled by a power of two, so no difference or
+product in the predicate overflows.
 
 Affine extrapolation tails never cut below either construction as long as
 I sits inside [slope_left, slope_right], which is enforced.
@@ -196,7 +202,7 @@ def _merge_runs(m, b, x, run_a, run_e):
 
 def _conjugate_1d(s, u, sigmas, lines=None):
     """Exact u*(sigma) = max_i (sigma s_i - u_i) at each of ``sigmas``, and
-    the grid point s_i where the maximum is attained.
+    the grid index i where the maximum is attained.
 
     u* is the upper envelope of the dual lines sigma -> s_i sigma - u_i;
     one binary search in its crossings finds the active line.  ``lines``
@@ -204,8 +210,7 @@ def _conjugate_1d(s, u, sigmas, lines=None):
     """
     keep, cross = _upper_line_envelope(s, -u) if lines is None else lines
     act = keep[np.searchsorted(cross, sigmas, side="right")]
-    x = s[act]
-    return sigmas * x - u[act], x
+    return sigmas * s[act] - u[act], act
 
 
 def _slope_bounds(w: SampledWeight, interval: SlopeInterval):
@@ -236,14 +241,23 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     # kink either neighbouring line gives u*).
     inside = (cross > lo) & (cross < hi)
     cand = np.concatenate(([lo], cross[inside], [hi]))
-    ustar, act_s = _conjugate_1d(s, u, cand, lines)
+    ustar, act = _conjugate_1d(s, u, cand, lines)
     # Back transform: the maximiser over sigma sits at a kink or endpoint,
-    # and the optimal candidate index is monotone in s.
-    idx = np.clip(np.searchsorted(act_s, s), 0, cand.size - 1)
-    best = cand[idx] * s - ustar[idx]
-    for off in (-1, 1):
-        j = np.clip(idx + off, 0, cand.size - 1)
-        best = np.maximum(best, cand[j] * s - ustar[j])
+    # and the optimal candidate index is monotone in s.  Node i tries the
+    # candidates idx_i - 1, idx_i and idx_i + 1, where idx_i counts the
+    # candidates but the last whose active grid index is below i.  As s
+    # strictly increases and act does not decrease, that is a binary search
+    # of s[act] capped at the last candidate.  One copy of each end entry
+    # beyond it clamps idx - 1 and idx + 1 to the candidates.
+    count = np.bincount(act[:-1], minlength=s.size)
+    idx = np.cumsum(count) - count
+    cand = np.concatenate((cand[:1], cand, cand[-1:]))
+    ustar = np.concatenate((ustar[:1], ustar, ustar[-1:]))
+    j = idx + 1
+    best = cand[j] * s - ustar[j]
+    best = np.maximum(best, cand[idx] * s - ustar[idx])
+    j += 1
+    best = np.maximum(best, cand[j] * s - ustar[j])
     env = np.minimum(best, u)
     return SampledWeight(s, env, lo, hi)
 
@@ -257,11 +271,22 @@ def _turn(s, u, a, p, b):
         return (s[b] - sa) * (u[p] - ua) - (s[p] - sa) * (u[b] - ua)
 
 
+def _below_2_510(a):
+    """``a`` scaled by a power of two so that |a| < 2**510, or ``a`` itself
+    when that already holds: then every difference and product in
+    :func:`_turn` stays finite.  The scaling is exact apart from entries it
+    pushes below the normal range."""
+    if a.size == 0:
+        return a
+    k = int(np.frexp(np.abs(a).max())[1]) - 510
+    return np.ldexp(a, -k) if k > 0 else a
+
+
 def _monotone_chain_lower(s, u):
     """Indices of the lower convex hull of the graph, collinear points kept,
     by the level-synchronous quickhull of the module docstring."""
-    s = np.asarray(s, dtype=float)
-    u = np.asarray(u, dtype=float)
+    s = _below_2_510(np.asarray(s, dtype=float))
+    u = _below_2_510(np.asarray(u, dtype=float))
     n = s.size
     if n < 3:
         return np.arange(n)

@@ -161,12 +161,17 @@ def _log_norms_squared(w, lattice, m):
     nodes = np.concatenate([nodes_lo, nodes_mid, nodes_hi])
     wt = np.concatenate([wt_lo, wt_mid, wt_hi])
     log_meas = np.log(np.maximum(base_density(nodes), 1e-300)) + np.log(wt)
-    u = w(nodes)
+    mu = m * w(nodes)
     out = np.empty(lattice.size)
+    expo = np.empty_like(nodes)
     for i, sig in enumerate(lattice):
-        expo = m * sig * nodes - m * u + log_meas
+        # m sig nodes - m u + log_meas, in that order, in one buffer
+        np.multiply(m * sig, nodes, out=expo)
+        expo -= mu
+        expo += log_meas
         top = expo.max()
-        out[i] = top + math.log(np.exp(expo - top).sum())
+        expo -= top
+        out[i] = top + math.log(np.exp(expo, out=expo).sum())
     return out
 
 

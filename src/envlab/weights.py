@@ -9,6 +9,7 @@ plurisubharmonicity.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -21,9 +22,13 @@ def _as_grid(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
         raise InvalidInputError(f"{name} must be a 1-d array with at least 2 points")
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
-    if not np.all(np.diff(a) > 0):
+    # strictly increasing between finite ends means finite throughout (NaN
+    # fails every comparison), so the full isfinite pass runs only to name
+    # what is wrong
+    if not (math.isfinite(a[0]) and math.isfinite(a[-1])
+            and (a[1:] > a[:-1]).all()):
+        if not np.isfinite(a).all():
+            raise InvalidInputError(f"{name} contains non-finite entries")
         raise InvalidInputError(f"{name} must be strictly increasing")
     return a
 
@@ -60,9 +65,9 @@ class SampledWeight:
         v = np.asarray(self.values, dtype=float)
         if v.shape != g.shape:
             raise InvalidInputError("values must match grid shape")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidInputError("values contain non-finite entries")
-        if not (np.isfinite(self.slope_left) and np.isfinite(self.slope_right)):
+        if not (math.isfinite(self.slope_left) and math.isfinite(self.slope_right)):
             raise InvalidInputError("slopes must be finite")
         if self.slope_left > self.slope_right:
             raise InvalidInputError(
@@ -133,7 +138,7 @@ class SampledWeight2D:
         if v.shape != (gt.size, gs.size):
             raise InvalidInputError(
                 f"values shape {v.shape} does not match ({gt.size}, {gs.size})")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidInputError("values contain non-finite entries")
         p = _check_polygon(self.slope_polytope)
         object.__setattr__(self, "grid_tau", gt)

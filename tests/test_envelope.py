@@ -27,7 +27,7 @@ def test_conjugate_of_softplus():
     w = _softplus_weight()
     val, at = _conjugate_1d(w.grid, w.values, np.array([0.5]))
     assert val[0] == pytest.approx(-np.log(2.0), abs=1e-8)
-    assert at[0] == 0.0
+    assert w.grid[at[0]] == 0.0
 
 
 @pytest.mark.parametrize("route", [equilibrium_envelope, hull_envelope])
@@ -296,12 +296,10 @@ def _extreme_cases():
     top = np.array([1e308, -1e308, 1e308, 0.0, -1e308, 1e308, 5e307,
                     -1e308, 1e308])
     bumps = np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 3.0, 0.0, 1.0])
-    # a grid spanning +-1e308 makes the turn predicate take inf * 0, an
-    # invalid operation that still warns, so only the dual route runs there
     return [("values-1e308", np.linspace(-1.0, 1.0, 9), top, True),
             ("spacing-5e-324", np.arange(9) * 5e-324, bumps, True),
             ("spacing-5e-324-values-1e308", np.arange(9) * 5e-324, top, True),
-            ("span-1e308", np.linspace(-1.0, 1.0, 9) * 1e308, bumps, False)]
+            ("span-1e308", np.linspace(-1.0, 1.0, 9) * 1e308, bumps, True)]
 
 
 @pytest.mark.parametrize("s, u, hull_too", [
@@ -322,9 +320,29 @@ def test_extreme_inputs_overflow_silently(s, u, hull_too):
     want_keep, want_cross = _stack_line_envelope(s, -u)
     assert np.array_equal(keep, want_keep) and np.array_equal(cross, want_cross)
     assert np.all(np.isfinite(dual)) and np.all(dual <= u)
+    assert np.array_equal(dual, _searchsorted_envelope(w, iv))
     if hull_too:
         assert np.array_equal(hull, _chain_lower_hull(s, u))
         assert np.array_equal(dual, primal)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_hull_route_on_mixed_1e308_values(seed):
+    # chords between -1e308 and 1e308 overflow every product of the turn
+    # predicate unless the hull route scales u down by 2**-514 first
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 300))
+    s = np.linspace(-1.0, 1.0, n)
+    u = rng.choice([-1e308, 0.0, 1e308], n)
+    w, iv = SampledWeight(s, u, 0.0, 1.0), SlopeInterval(0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hull = _monotone_chain_lower(s, u)
+        primal = hull_envelope(w, iv).values
+        dual = equilibrium_envelope(w, iv).values
+    assert np.array_equal(hull, _chain_lower_hull(s, np.ldexp(u, -514)))
+    assert np.array_equal(primal, dual)
+    assert np.array_equal(dual, _searchsorted_envelope(w, iv))
 
 
 def test_turn_still_warns_on_invalid():
@@ -333,6 +351,77 @@ def test_turn_still_warns_on_invalid():
     u = np.array([0.0, 1e308, 1e308])
     with pytest.warns(RuntimeWarning, match="invalid"):
         assert np.isnan(envelope._turn(s, u, 0, 1, 2))
+
+
+def _searchsorted_envelope(w, interval):
+    """The back transform :func:`equilibrium_envelope` had before it counted
+    active indices: a binary search of the active grid points per node and
+    three clipped candidate indices, kept as its differential oracle."""
+    lo, hi = interval.sigma_min, interval.sigma_max
+    s, u = w.grid, w.values
+    lines = _upper_line_envelope(s, -u)
+    cross = lines[1]
+    inside = (cross > lo) & (cross < hi)
+    cand = np.concatenate(([lo], cross[inside], [hi]))
+    ustar, act = _conjugate_1d(s, u, cand, lines)
+    idx = np.clip(np.searchsorted(s[act], s), 0, cand.size - 1)
+    best = cand[idx] * s - ustar[idx]
+    for off in (-1, 1):
+        j = np.clip(idx + off, 0, cand.size - 1)
+        best = np.maximum(best, cand[j] * s - ustar[j])
+    return np.minimum(best, u)
+
+
+def _assert_back_transform_matches_searchsorted(s, u, rng):
+    """The envelope of (s, u) equals the oracle's bit for bit over slope
+    intervals around all crossings of u*, from one crossing to another,
+    zero-width at a crossing and between crossings, and with random ends."""
+    cross = _upper_line_envelope(s, -u)[1]
+    if cross.size == 0:
+        cross = np.array([0.0])
+    a, b = np.sort(rng.choice(cross, 2))
+    c = float(rng.choice(cross))
+    mid = float(rng.uniform(cross[0], cross[-1]))
+    lo, hi = np.sort(rng.uniform(cross[0] - 1.0, cross[-1] + 1.0, 2))
+    for ends in [(cross[0] - 1.0, cross[-1] + 1.0), (cross[0], cross[-1]),
+                 (a, b), (c, c), (mid, mid), (min(a, mid), max(a, mid)),
+                 (lo, hi)]:
+        w, iv = SampledWeight(s, u, *ends), SlopeInterval(*ends)
+        got = equilibrium_envelope(w, iv).values
+        assert np.array_equal(got, _searchsorted_envelope(w, iv))
+
+
+def _back_transform_cases():
+    """(id, s, u): few points and non-uniform grids."""
+    rng = np.random.default_rng(53)
+    geometric = np.cumsum(1.1 ** np.arange(64))
+    clustered = np.sort(rng.uniform(-5.0, 5.0, 513))
+    cases = [("n2-up", np.array([0.0, 1.0]), np.array([0.0, 1.0])),
+             ("n2-flat", np.array([-1.0, 2.0]), np.array([3.0, 3.0])),
+             ("n3-above", np.arange(3.0), np.array([0.0, 1.0, 0.0])),
+             ("n3-below", np.arange(3.0), np.array([0.0, -1.0, 0.0])),
+             ("n3-collinear", np.arange(3.0), np.array([0.0, 1.0, 2.0])),
+             ("geometric-walk", geometric, np.cumsum(rng.normal(size=64))),
+             ("geometric-ties", geometric, rng.integers(-3, 4, 64) * 1.0),
+             ("clustered-noise", clustered, rng.normal(size=513)),
+             ("clustered-bumps", clustered,
+              soft_plus(clustered) - np.exp(-clustered ** 2))]
+    # within an ulp of collinear, candidates beyond a node's nearest ones
+    # win by an ulp, so the three candidates tried must be the oracle's
+    for seed in range(4):
+        r = np.random.default_rng(seed)
+        n = int(r.integers(3, 65))
+        span = r.uniform(1.0, 40.0)
+        s = np.linspace(-span, span, n)
+        jitter = r.choice([-1e-15, 0.0, 1e-15], n)
+        cases.append((f"ulp-collinear-{seed}", s, 0.1 * s + 0.3 + jitter))
+    return cases
+
+
+@pytest.mark.parametrize("s, u", [pytest.param(s, u, id=name)
+                                  for name, s, u in _back_transform_cases()])
+def test_back_transform_matches_searchsorted(s, u):
+    _assert_back_transform_matches_searchsorted(s, u, np.random.default_rng(59))
 
 
 @st.composite
@@ -409,6 +498,18 @@ def test_lower_hull_matches_chain(w, near):
     with mock.patch.object(envelope, "_monotone_chain_lower", _chain_lower_hull):
         want = hull_envelope(near, iv).values
     assert np.abs(got - want).max() <= _ulp_tolerance(near)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights(), ulp_collinear_weights(),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_back_transform_matches_searchsorted_on_drawn_weights(w, near, seed):
+    rng = np.random.default_rng(seed)
+    _assert_back_transform_matches_searchsorted(w.grid, w.values, rng)
+    # integer data: many exact ties among the crossings
+    s = np.arange(w.grid.size, dtype=float)
+    _assert_back_transform_matches_searchsorted(s, np.round(8.0 * w.values), rng)
+    _assert_back_transform_matches_searchsorted(near.grid, near.values, rng)
 
 
 def test_dual_routes_agree_at_fine_grid_size(rng):

@@ -25,6 +25,51 @@ def test_weight_validation():
         SampledWeight(g, np.zeros(5), 2.0, 1.0)
 
 
+nan, inf = float("nan"), float("inf")
+NON_FINITE = "contains non-finite entries"
+INCREASING = "must be strictly increasing"
+GRID_CASES = [
+    pytest.param([0.0, nan, 2.0, 3.0], NON_FINITE, id="nan-inside"),
+    pytest.param([nan, 1.0, 2.0, 3.0], NON_FINITE, id="nan-first"),
+    pytest.param([-inf, 1.0, 2.0, 3.0], NON_FINITE, id="minus-inf-first"),
+    pytest.param([inf, 1.0, 2.0, 3.0], NON_FINITE, id="inf-first"),
+    pytest.param([0.0, 1.0, 2.0, inf], NON_FINITE, id="inf-last"),
+    pytest.param([0.0, 1.0, 2.0, -inf], NON_FINITE, id="minus-inf-last"),
+    pytest.param([0.0, inf, 2.0, 3.0], NON_FINITE, id="inf-inside"),
+    pytest.param([0.0, 1.0, 1.0, 3.0], INCREASING, id="tie"),
+    pytest.param([3.0, 2.0, 1.0, 0.0], INCREASING, id="decreasing"),
+    # the non-finite entry is named even where the order also fails
+    pytest.param([3.0, nan, 1.0, 1.0], NON_FINITE, id="nan-and-tie"),
+]
+
+
+@pytest.mark.parametrize("grid, message", GRID_CASES)
+def test_weight_grid_rejections(grid, message):
+    with pytest.raises(InvalidInputError, match=f"^grid {message}$"):
+        SampledWeight(np.array(grid), np.zeros(4), 0.0, 1.0)
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    ok = np.arange(3.0)
+    with pytest.raises(InvalidInputError, match=f"^grid_tau {message}$"):
+        SampledWeight2D(np.array(grid), ok, np.zeros((4, 3)), square)
+    with pytest.raises(InvalidInputError, match=f"^grid_s {message}$"):
+        SampledWeight2D(ok, np.array(grid), np.zeros((3, 4)), square)
+
+
+@pytest.mark.parametrize("bad", [nan, inf, -inf])
+def test_weight_value_and_slope_rejections(bad):
+    g = np.arange(4.0)
+    values = np.array([0.0, 1.0, bad, 3.0])
+    with pytest.raises(InvalidInputError,
+                       match="^values contain non-finite entries$"):
+        SampledWeight(g, values, 0.0, 1.0)
+    with pytest.raises(InvalidInputError,
+                       match="^values contain non-finite entries$"):
+        SampledWeight2D(g[:2], g, np.vstack((values, np.zeros(4))))
+    for slopes in ((bad, 1.0), (0.0, bad), (np.float64(bad), 1.0)):
+        with pytest.raises(InvalidInputError, match="^slopes must be finite$"):
+            SampledWeight(g, np.zeros(4), *slopes)
+
+
 def test_weight_call_interpolates_and_extrapolates():
     w = SampledWeight(np.array([0.0, 1.0]), np.array([0.0, 2.0]), -1.0, 3.0)
     assert w(0.5) == pytest.approx(1.0)
