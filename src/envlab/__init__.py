@@ -9,8 +9,7 @@ maximum.  Every verification returns a :class:`~envlab.report.VerificationReport
 """
 
 from .envelope import convexity_defect, equilibrium_envelope, hull_envelope
-from .envelope2d import (equilibrium_envelope_2d, grid_line_defects,
-                         hull_envelope_2d)
+from .envelope2d import equilibrium_envelope_2d, grid_line_defects
 from .errors import (EnvlabError, GluingError, InvalidCoverError,
                      InvalidInputError, InvalidParameterError, NoEnvelopeError,
                      PrecisionError)
@@ -35,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "convexity_defect", "equilibrium_envelope", "hull_envelope",
-    "equilibrium_envelope_2d", "grid_line_defects", "hull_envelope_2d",
+    "equilibrium_envelope_2d", "grid_line_defects",
     "EnvlabError", "InvalidInputError", "InvalidParameterError",
     "NoEnvelopeError", "PrecisionError", "InvalidCoverError", "GluingError",
     "FamilyCurve", "ModelBundlePair", "cayley_polytope",

@@ -39,6 +39,8 @@ CHECKS = {
         "fiber probability density has unit mass", "fiber", 1e-10),
     "fiber-normalization": Check(
         "closed-form fiber moment identity", "fiber_rel", 1e-8),
+    "fiber-power-mean": Check(
+        "power-mean inequality for the fiber integrand", None, 1e-10),
     "section-sandwich": Check(
         "two-sided section approximant bounds", "sandwich", 1e-9),
     "coefficient-parseval": Check(

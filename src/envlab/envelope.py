@@ -10,11 +10,11 @@ below u whose derivative stays in I.  Two independent routes are provided:
   are exact for sampled data, so the route carries no slope-discretization
   error.  ``_conjugate_1d`` is the one place u* is read off that envelope
   (one binary search in its crossings per slope); it returns u* and the
-  active grid index, and the section approximant psi1 and the 2-d
-  envelope's column-by-column u* use it too.  The back transform works in
-  index space: the active indices of the candidate slopes are
-  nondecreasing, so counting them (one ``bincount`` and one cumulative
-  sum) places every node among the candidates without a search.
+  active grid index, and the section approximant psi1 uses it too.  The
+  back transform works in index space: the active indices of the
+  candidate slopes are nondecreasing, so counting them (one ``bincount``
+  and one cumulative sum) places every node among the candidates without
+  a search.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   in the primal plane, with cross-product predicates and no line
@@ -241,24 +241,28 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     # kink either neighbouring line gives u*).
     inside = (cross > lo) & (cross < hi)
     cand = np.concatenate(([lo], cross[inside], [hi]))
-    ustar, act = _conjugate_1d(s, u, cand, lines)
     # Back transform: the maximiser over sigma sits at a kink or endpoint,
     # and the optimal candidate index is monotone in s.  Node i tries the
     # candidates idx_i - 1, idx_i and idx_i + 1, where idx_i counts the
     # candidates but the last whose active grid index is below i.  As s
     # strictly increases and act does not decrease, that is a binary search
     # of s[act] capped at the last candidate.  One copy of each end entry
-    # beyond it clamps idx - 1 and idx + 1 to the candidates.
-    count = np.bincount(act[:-1], minlength=s.size)
-    idx = np.cumsum(count) - count
-    cand = np.concatenate((cand[:1], cand, cand[-1:]))
-    ustar = np.concatenate((ustar[:1], ustar, ustar[-1:]))
-    j = idx + 1
-    best = cand[j] * s - ustar[j]
-    best = np.maximum(best, cand[idx] * s - ustar[idx])
-    j += 1
-    best = np.maximum(best, cand[j] * s - ustar[j])
+    # beyond it clamps idx - 1 and idx + 1 to the candidates.  Near 1e308
+    # this overflows; the check below reports it once, as a typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ustar, act = _conjugate_1d(s, u, cand, lines)
+        count = np.bincount(act[:-1], minlength=s.size)
+        idx = np.cumsum(count) - count
+        cand = np.concatenate((cand[:1], cand, cand[-1:]))
+        ustar = np.concatenate((ustar[:1], ustar, ustar[-1:]))
+        j = idx + 1
+        best = cand[j] * s - ustar[j]
+        best = np.maximum(best, cand[idx] * s - ustar[idx])
+        j += 1
+        best = np.maximum(best, cand[j] * s - ustar[j])
     env = np.minimum(best, u)
+    if not np.isfinite(env).all():
+        raise InvalidInputError("envelope overflows the float range")
     return SampledWeight(s, env, lo, hi)
 
 

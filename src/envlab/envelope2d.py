@@ -12,7 +12,7 @@ Lucet 1997).  Those vertices are
 
 (a) gradients of the lower-hull facets of the lifted cloud (tau, s, u) that
     lie in P; they are the vertices of the cells (Qhull);
-(b) kinks of u* along each edge of P, from the 1-d upper line envelope;
+(b) kinks of u* along each edge of P;
 (c) the vertices of P.
 
 :func:`equilibrium_envelope_2d` needs u* at (b) and (c) only.  A facet with
@@ -23,43 +23,32 @@ projected triangle.  So every node inside or on such a triangle takes the
 facet's plane, and its vertices take u exactly; the triangles are scanned
 row by row over the grid.  At every other node no maximiser lies at an
 (a) slope, since a maximiser there would put the node in that facet's
-triangle, so the maximum over the boundary slopes (b) and (c) is exact.
+triangle, so the maximum over the boundary of P is exact.
 
-u* is evaluated exactly at those boundary slopes, so each of their planes
-is a minorant of u at every node by construction.  The evaluation
-separates the axes, the 2-d step of Lucet's linear-time Legendre
-transform (Lucet 1997, Numerical Algorithms 16):
+That maximum is taken one edge [p, q] at a time.  Along
+sigma = p + lam (q - p), u* is the upper envelope of the lines
+lam -> ((q - p) . x_i) lam + (p . x_i - u_i), so the lines active on
+[0, 1] give the kinks inside the edge, its two ends and u* at each of them
+by index.  The best of these candidates for x moves monotonically with
+(q - p) . x, so one binary search in the active slopes places x, as in the
+1-d back transform.  A segment P is walked both ways and a point P is one
+edge of length zero, so one loop over the edges serves every shape of P.
 
-    u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)),
-    c_j(sigma_1) = max_i (sigma_1 tau_i - u_ij),
-
-where each c_j is the 1-d conjugate of grid column j, read off its upper
-line envelope by the same lookup the 1-d envelope uses, so u* costs one
-line-envelope pass per column and one binary search per slope and
-column instead of a plane maximum over every node.  With the axes swapped
-the same holds row by row; the loop runs over whichever axis has fewer
-nodes.
-
-The independent oracle :func:`hull_envelope_2d` evaluates the lower-hull
-facet planes themselves and ignores P.
-
-scipy is imported on first use, by the Qhull call that both routes share,
-so importing this module (and the CLI commands that never reach a 2-d
-envelope) costs numpy time only.
+scipy is imported on first use, by the Qhull call, so importing this
+module (and the CLI commands that never reach a 2-d envelope) costs numpy
+time only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .envelope import (_conjugate_1d, _second_difference_defect,
-                       _upper_line_envelope)
+from .envelope import _second_difference_defect, _upper_line_envelope
 from .errors import InvalidInputError
 from .weights import SampledWeight2D
 
 __all__ = [
     "equilibrium_envelope_2d",
-    "hull_envelope_2d",
     "grid_line_defects",
 ]
 
@@ -92,43 +81,6 @@ def _lower_facet_planes(nodes, uu):
             hull.simplices[is_lower])
 
 
-def _max_of_planes(grad, offset, pts):
-    """max_k (grad_k . p + offset_k) at every row p of ``pts``.
-
-    One matrix product per chunk of planes, with the offset carried as a
-    third coordinate against a row of ones; chunks of about 1 MB are
-    reduced while they are still in cache.
-    """
-    out = np.full(pts.shape[0], -np.inf)
-    planes = np.column_stack([grad, offset])
-    lifted = np.vstack([pts.T, np.ones(pts.shape[0])])
-    chunk = max(1, 2**17 // max(pts.shape[0], 1))
-    for k in range(0, offset.size, chunk):
-        np.maximum(out, (planes[k:k + chunk] @ lifted).max(axis=0), out=out)
-    return out
-
-
-def _conjugate(w: SampledWeight2D, sigmas):
-    """u*(sigma) at every row of ``sigmas``, one grid line at a time.
-
-    u*(sigma) = max_j (sigma_2 s_j + c_j(sigma_1)), where c_j is the exact
-    1-d conjugate of column j over tau: the upper envelope of the lines
-    sigma_1 -> tau_i sigma_1 - u_ij, read off by one binary search.  The
-    roles of the axes swap when tau has fewer nodes than s, so the loop
-    runs over the shorter axis (columns on a tie).
-    """
-    grid_in, grid_out, values = w.grid_tau, w.grid_s, w.values
-    sig_in, sig_out = sigmas[:, 0], sigmas[:, 1]
-    if w.grid_tau.size < w.grid_s.size:
-        grid_in, grid_out, values = w.grid_s, w.grid_tau, w.values.T
-        sig_in, sig_out = sig_out, sig_in
-    out = np.full(sig_in.size, -np.inf)
-    for j, x in enumerate(grid_out.tolist()):
-        c = _conjugate_1d(grid_in, values[:, j], sig_in)[0]
-        np.maximum(out, c + sig_out * x, out=out)
-    return out
-
-
 def _in_polygon(pts, poly):
     """Rows of ``pts`` inside the closed CCW polygon ``poly`` (m >= 3)."""
     d = np.roll(poly, -1, axis=0) - poly
@@ -137,19 +89,33 @@ def _in_polygon(pts, poly):
     return np.all(cross >= 0.0, axis=1)
 
 
-def _edge_kinks(p, q, nodes, uu):
-    """Kinks of u* on the open edge (p, q), as slope pairs.
+def _edge_back_transform(p, q, nodes, uu, x):
+    """max over sigma on the edge [p, q] of sigma . x - u*(sigma), at every
+    row of ``x``, by the per-edge search of the module docstring.
 
-    Along sigma = p + lam (q - p) the conjugate is the upper envelope of
-    the lines lam -> (d . x_i) lam + (p . x_i - u_i).
+    The lines active on [0, 1] are keep[a:b + 1]; each candidate takes u*
+    from the line active to its right, and x tries the count of active
+    slopes below d . x and that count's two neighbours.
     """
     d = q - p
     slope = nodes @ d
     icpt = nodes @ p - uu
     order = np.lexsort((icpt, slope))
-    _, cross = _upper_line_envelope(slope[order], icpt[order])
-    lam = cross[(cross > 0.0) & (cross < 1.0)]
-    return p + lam[:, None] * d
+    keep, cross = _upper_line_envelope(slope[order], icpt[order])
+    keep = order[keep]
+    a, b = np.searchsorted(cross, 0.0, "right"), np.searchsorted(cross, 1.0)
+    # one copy of each end candidate clamps the neighbours to the edge
+    lam = np.concatenate(([0.0, 0.0], cross[a:b], [1.0, 1.0]))
+    act = keep[np.r_[a, a:b + 1, b, b]]
+    ustar = lam * slope[act] + icpt[act]
+    y = x @ d
+    c = np.searchsorted(slope[keep[a:b + 1]], y)
+    best = lam[c] * y - ustar[c]
+    c += 1
+    best = np.maximum(best, lam[c] * y - ustar[c])
+    c += 1
+    best = np.maximum(best, lam[c] * y - ustar[c])
+    return x @ p + best
 
 
 def _facet_cover(w: SampledWeight2D, grad, offset, tri):
@@ -207,6 +173,7 @@ def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
     poly = w.slope_polytope
     env = uu.copy()
     rest = np.ones(uu.size, dtype=bool)
+    # a segment or point P has no interior: every node goes to its edges
     if poly.shape[0] >= 3:
         grad, offset, simplices = _lower_facet_planes(nodes, uu)
         inside = _in_polygon(grad, poly)
@@ -219,28 +186,12 @@ def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
         exact = simplices[inside].ravel()
         env[exact] = uu[exact]
         rest[exact] = False
-        edges = zip(poly, np.roll(poly, -1, axis=0))
-    else:
-        # a segment or point P has no interior
-        edges = zip(poly[:-1], poly[1:])
-    cand = np.concatenate([poly] + [_edge_kinks(p, q, nodes, uu) for p, q in edges])
-    back = _max_of_planes(cand, -_conjugate(w, cand), nodes[rest])
+    x = nodes[rest]
+    back = np.full(x.shape[0], -np.inf)
+    for p, q in zip(poly, np.roll(poly, -1, axis=0)):
+        np.maximum(back, _edge_back_transform(p, q, nodes, uu, x), out=back)
     env[rest] = np.minimum(back, uu[rest])
     return w.with_values(env.reshape(w.values.shape))
-
-
-def hull_envelope_2d(w: SampledWeight2D) -> np.ndarray:
-    """Lower convex hull of the lifted grid cloud, evaluated at the nodes.
-
-    Gradient constraints are ignored, so this is an oracle for inputs whose
-    envelope gradients stay inside the polytope.
-    """
-    nodes, uu = _node_arrays(w)
-    grad, offset, _ = _lower_facet_planes(nodes, uu)
-    # each lower facet plane supports the hull from below, so the hull
-    # function is the max of the facet planes
-    out = _max_of_planes(grad, offset, nodes)
-    return np.minimum(out, uu).reshape(w.values.shape)
 
 
 def grid_line_defects(values, grid_tau, grid_s) -> float:

@@ -82,6 +82,39 @@ def ulp_collinear_weights(draw):
     return SampledWeight(s, 0.1 * s + 0.3 + jitter, 0.0, 1.0)
 
 
+def _stack_line_envelope(slopes, intercepts):
+    """One line at a time: push each line and pop the lines it covers.
+
+    The route ``envelope._upper_line_envelope`` had before it merged convex
+    runs, kept as the differential oracle of that function and of the 2-d
+    envelope's edge kinks.
+    """
+    slopes = np.asarray(slopes, dtype=float).tolist()
+    intercepts = np.asarray(intercepts, dtype=float).tolist()
+    keep, cross = [], []
+    for i in range(len(slopes)):
+        while keep:
+            j = keep[-1]
+            if slopes[i] == slopes[j]:
+                if intercepts[i] <= intercepts[j]:
+                    break
+                keep.pop()
+                if cross:
+                    cross.pop()
+                continue
+            x = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
+            if cross and x <= cross[-1]:
+                keep.pop()
+                cross.pop()
+                continue
+            keep.append(i)
+            cross.append(x)
+            break
+        else:
+            keep.append(i)
+    return np.array(keep, dtype=int), np.array(cross, dtype=float)
+
+
 def model_pair(n=513, d_A=2, d_L=1, seed=None):
     """Model bundle pair: convex phi_A, bumpy phi_L."""
     s = np.linspace(-20.0, 20.0, n)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from envlab import SampledWeight, SampledWeight2D, save_weight_csv
+from envlab import (FiberMeasure, SampledWeight, SampledWeight2D,
+                    holder_fiber_chain, save_weight_csv)
 from envlab.checks import CHECKS
 from envlab import cli
 from envlab.cli import (RunManifest, export_plot_data, export_report,
@@ -166,6 +167,13 @@ def test_export_rejects_unregistered_check(tmp_path):
     assert not os.listdir(tmp_path)
 
 
+def test_export_power_mean_report(tmp_path):
+    rep = holder_fiber_chain(FiberMeasure(2.0, 0.5), 0.5, 2)
+    body = json.loads(Path(export_report(rep, tmp_path, "power-mean")).read_text())
+    assert body["anchor"] == CHECKS["fiber-power-mean"].anchor
+    assert body["tolerance"] == CHECKS["fiber-power-mean"].tol
+
+
 def test_unregistered_check_is_a_program_fault(tmp_path, monkeypatch):
     # a handler emitting a check outside the registry is a bug, not bad input
     def orphan(manifest):
@@ -232,8 +240,9 @@ def test_anchor_registry_covers_emitted_checks(verify_all_run, tmp_path):
     path, _ = _convex_csv(tmp_path)
     assert main(["envelope", "--input", str(path), "--out", str(tmp_path)]) == 0
     emitted = {rep["check"] for d in (out, tmp_path) for rep in _reports(d).values()}
-    # the acceptance suite runs envelope-gap-bound; no CLI command does
-    assert set(CHECKS) - emitted == {"envelope-gap-bound"}
+    # the acceptance suite runs envelope-gap-bound and the fiber tests and
+    # demo 03 run fiber-power-mean; no CLI command does
+    assert set(CHECKS) - emitted == {"envelope-gap-bound", "fiber-power-mean"}
 
 
 def test_wall_times_are_per_check(verify_all_run):

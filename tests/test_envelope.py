@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import (NoEnvelopeError, SampledWeight, SlopeInterval, checks,
-                    convexity_defect, equilibrium_envelope, hull_envelope)
+from envlab import (InvalidInputError, NoEnvelopeError, SampledWeight,
+                    SlopeInterval, checks, convexity_defect,
+                    equilibrium_envelope, hull_envelope)
 from envlab import envelope
 from envlab.envelope import (_conjugate_1d, _monotone_chain_lower,
                              _upper_line_envelope)
-from conftest import (bumpy_model_weight, noise_weight,
+from conftest import (_stack_line_envelope, bumpy_model_weight, noise_weight,
                       piecewise_quadratic_weight, soft_plus,
                       ulp_collinear_weights, weights_of_degree)
 
@@ -107,38 +108,6 @@ def test_upper_line_envelope_brute_force():
     keep, cross = _upper_line_envelope(np.array([-1.0, 0.0, 1.0]),
                                        np.array([3.0, 2.0, 1.0]))
     assert keep.tolist() == [0, 2] and cross.tolist() == [1.0]
-
-
-def _stack_line_envelope(slopes, intercepts):
-    """One line at a time: push each line and pop the lines it covers.
-
-    The route ``_upper_line_envelope`` had before it merged convex runs,
-    kept as its differential oracle.
-    """
-    slopes = np.asarray(slopes, dtype=float).tolist()
-    intercepts = np.asarray(intercepts, dtype=float).tolist()
-    keep, cross = [], []
-    for i in range(len(slopes)):
-        while keep:
-            j = keep[-1]
-            if slopes[i] == slopes[j]:
-                if intercepts[i] <= intercepts[j]:
-                    break
-                keep.pop()
-                if cross:
-                    cross.pop()
-                continue
-            x = (intercepts[j] - intercepts[i]) / (slopes[i] - slopes[j])
-            if cross and x <= cross[-1]:
-                keep.pop()
-                cross.pop()
-                continue
-            keep.append(i)
-            cross.append(x)
-            break
-        else:
-            keep.append(i)
-    return np.array(keep, dtype=int), np.array(cross, dtype=float)
 
 
 def _line_cases():
@@ -324,6 +293,18 @@ def test_extreme_inputs_overflow_silently(s, u, hull_too):
     if hull_too:
         assert np.array_equal(hull, _chain_lower_hull(s, u))
         assert np.array_equal(dual, primal)
+
+
+def test_envelope_out_of_float_range_is_a_typed_error():
+    # with slope 1 on a grid spanning +-1e308 the envelope at the left end is
+    # about -2e308: one typed error that names the overflow, no warning
+    s = np.linspace(-1.0, 1.0, 9) * 1e308
+    w = SampledWeight(s, np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0, 3.0, 0.0, 1.0]),
+                      0.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows the float range"):
+            equilibrium_envelope(w, SlopeInterval(1.0, 1.0))
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -7,10 +7,10 @@ from scipy.spatial import ConvexHull, QhullError
 
 from envlab import (InvalidInputError, SampledWeight2D,
                     equilibrium_envelope_2d, grid_line_defects,
-                    hull_envelope_2d, naive_fibered_weight)
-from envlab.envelope2d import (_edge_kinks, _in_polygon, _lower_facet_planes,
-                               _node_arrays)
-from conftest import model_pair
+                    naive_fibered_weight)
+from envlab.envelope2d import (_edge_back_transform, _in_polygon,
+                               _lower_facet_planes, _node_arrays)
+from conftest import _stack_line_envelope, model_pair
 
 BOX = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 
@@ -19,6 +19,28 @@ def _grid2d(n=48, span=4.0):
     t = np.linspace(-span, span, n)
     s = np.linspace(-span, span, n)
     return t, s, np.meshgrid(t, s, indexing="ij")
+
+
+def _max_of_planes(grad, offset, pts):
+    """max_k (grad_k . p + offset_k) at every row p of ``pts``, one matrix
+    product per chunk of planes."""
+    out = np.full(pts.shape[0], -np.inf)
+    planes = np.column_stack([grad, offset])
+    lifted = np.vstack([pts.T, np.ones(pts.shape[0])])
+    chunk = max(1, 2**17 // max(pts.shape[0], 1))
+    for k in range(0, offset.size, chunk):
+        np.maximum(out, (planes[k:k + chunk] @ lifted).max(axis=0), out=out)
+    return out
+
+
+def hull_envelope_2d(w):
+    """Oracle: the lower convex hull of the lifted grid cloud at the nodes,
+    the max of its facet planes.  It ignores P, so it is the envelope only
+    where the gradient constraints do not bind."""
+    nodes, uu = _node_arrays(w)
+    grad, offset, _ = _lower_facet_planes(nodes, uu)
+    return np.minimum(_max_of_planes(grad, offset, nodes),
+                      uu).reshape(w.values.shape)
 
 
 def _lp_envelope(w, nodes):
@@ -127,26 +149,50 @@ def test_degenerate_inputs_match_lp_oracle(vals, poly):
     assert (env - vals).max() <= 1e-12
 
 
+def test_segment_polytope_in_either_vertex_order():
+    seg = np.array([[0.2, -0.5], [0.9, 0.4]])
+    a = equilibrium_envelope_2d(SampledWeight2D(_T9, _S7, _BUMPY, seg)).values
+    b = equilibrium_envelope_2d(SampledWeight2D(_T9, _S7, _BUMPY, seg[::-1])).values
+    assert np.array_equal(a, b)
+
+
+def _edge_kinks(p, q, nodes, uu):
+    """Kinks of u* inside the edge (p, q), as slope pairs, from the
+    one-line-at-a-time stack over the lines
+    lam -> ((q - p) . x_i) lam + (p . x_i - u_i)."""
+    d = q - p
+    slope, icpt = nodes @ d, nodes @ p - uu
+    order = np.lexsort((icpt, slope))
+    cross = _stack_line_envelope(slope[order], icpt[order])[1]
+    lam = cross[(cross > 0.0) & (cross < 1.0)]
+    return p + lam[:, None] * d
+
+
+def _dense_back_transform(cand, nodes, uu):
+    """max over the slopes ``cand`` of sigma . x - u*(sigma) at every node,
+    with u*(sigma) = max_i (x_i . sigma - u_i) itself a plane maximum."""
+    ustar = _max_of_planes(nodes, -uu, cand)
+    return _max_of_planes(cand, -ustar, nodes)
+
+
+def _edges(poly):
+    return zip(poly, np.roll(poly, -1, axis=0))
+
+
 def _dense_two_pass(w):
     """Oracle: every vertex of u*'s linearity cells cut by P as a candidate
     slope (in-P lower-facet gradients, kinks of u* along the edges of P and
     P's vertices), u* a plane maximum over every node and the back
-    transform a plane maximum over every candidate."""
+    transform a plane maximum over every candidate.  It shares only the
+    Qhull call with the primary route."""
     nodes, uu = _node_arrays(w)
     poly = w.slope_polytope
     cand = [poly]
     if poly.shape[0] >= 3:
         grad = _lower_facet_planes(nodes, uu)[0]
         cand.append(grad[_in_polygon(grad, poly)])
-        edges = zip(poly, np.roll(poly, -1, axis=0))
-    else:
-        edges = zip(poly[:-1], poly[1:])
-    cand = np.concatenate(cand + [_edge_kinks(p, q, nodes, uu) for p, q in edges])
-    blocks = range(0, cand.shape[0], 256)
-    ustar = np.concatenate([(cand[k:k + 256] @ nodes.T - uu).max(axis=1)
-                            for k in blocks])
-    env = np.max([(cand[k:k + 256] @ nodes.T - ustar[k:k + 256, None]).max(axis=0)
-                  for k in blocks], axis=0)
+    cand += [_edge_kinks(p, q, nodes, uu) for p, q in _edges(poly)]
+    env = _dense_back_transform(np.concatenate(cand), nodes, uu)
     return np.minimum(env, uu).reshape(w.values.shape)
 
 
@@ -189,8 +235,7 @@ def _bumpy_nonuniform(seed):
 
 
 def _bumpy_rect(n_t, n_s):
-    """Non-square grid, so u* loops over the shorter axis (rows when
-    n_t < n_s)."""
+    """Non-square grid, longer in s or in tau."""
     t, s = np.linspace(-1.5, 1.0, n_t), np.linspace(-2.0, 2.5, n_s)
     tt, ss = np.meshgrid(t, s, indexing="ij")
     vals = 0.4 * (tt ** 2 + ss ** 2) + np.sin(3.0 * tt * ss) + 0.2 * np.cos(5.0 * ss)
@@ -272,8 +317,6 @@ def test_other_qhull_errors_become_invalid_input(monkeypatch):
     w = SampledWeight2D(t, s, tt ** 2 + ss ** 2, BOX)
     with pytest.raises(InvalidInputError):
         equilibrium_envelope_2d(w)
-    with pytest.raises(InvalidInputError):
-        hull_envelope_2d(w)
 
 
 def test_grid_line_defects():
@@ -303,7 +346,10 @@ def bumpy_weights_2d(draw):
     tt, ss = np.meshgrid(t, s, indexing="ij")
     vals = 0.3 * (tt ** 2 + ss ** 2) + rng.normal(0.0, 0.5, tt.shape)
     cloud = rng.uniform(-1.5, 1.5, (6, 2))
-    return SampledWeight2D(t, s, vals, cloud[ConvexHull(cloud).vertices])
+    # P is mostly a polygon, now and then a segment or a point
+    k = draw(st.sampled_from([6, 6, 6, 2, 1]))
+    poly = cloud[ConvexHull(cloud).vertices] if k == 6 else cloud[:k]
+    return SampledWeight2D(t, s, vals, poly)
 
 
 def _tol(w):
@@ -316,6 +362,19 @@ def test_envelope_2d_matches_dense_two_pass(w):
     env = equilibrium_envelope_2d(w).values
     scale = max(1.0, float(np.abs(w.values).max()))
     assert np.abs(env - _dense_two_pass(w)).max() <= 1e-12 * scale
+
+
+@settings(max_examples=25, deadline=None)
+@given(bumpy_weights_2d())
+def test_edge_back_transform_matches_dense_edge_maximum(w):
+    # each edge on its own, both ends included: the maximum over the closed
+    # edge, against a plane maximum over the edge's ends and stack kinks
+    nodes, uu = _node_arrays(w)
+    scale = max(1.0, float(np.abs(uu).max()))
+    for p, q in _edges(w.slope_polytope):
+        cand = np.concatenate([p[None], _edge_kinks(p, q, nodes, uu), q[None]])
+        got = _edge_back_transform(p, q, nodes, uu, nodes)
+        assert np.abs(got - _dense_back_transform(cand, nodes, uu)).max() <= 1e-12 * scale
 
 
 @settings(max_examples=25, deadline=None)
