@@ -25,7 +25,7 @@ from .weights import SlopeInterval
 class Check(NamedTuple):
     anchor: str
     tol_name: Optional[str]   # the --tol name, or None when it is fixed
-    tol: Optional[float]      # the tolerance the CLI passes by default
+    tol: float                # the tolerance its report carries by default
 
 
 CHECKS = {
@@ -34,7 +34,7 @@ CHECKS = {
     "family-monotonicity": Check(
         "normalized family curve monotone in t", "family", 1e-9),
     "family-right-continuity": Check(
-        "family curve right-continuous in t", None, None),
+        "family curve right-continuous in t", None, 1e-9),
     "fiber-volume": Check(
         "fiber probability density has unit mass", "fiber", 1e-10),
     "fiber-normalization": Check(
@@ -48,11 +48,11 @@ CHECKS = {
     "regularized-max-contract": Check(
         "smoothed maximum contract clauses", None, 1e-10),
     "hirzebruch-gluing": Check(
-        "two-chart glued weight positivity", None, None),
+        "two-chart glued weight positivity", None, 1e-9),
     "envelope-run": Check(
         "single equilibrium envelope computation", "envelope", 1e-8),
     "envelope-gap-bound": Check(
-        "constrained envelope gap against weight bound", None, None),
+        "constrained envelope gap against weight bound", None, 0.0),
 }
 
 # every name --tol accepts, in registry order

@@ -8,13 +8,12 @@ below u whose derivative stays in I.  Two independent routes are provided:
   ``sigma -> sigma * s_i - u_i``, and the back transform maximises
   ``sigma * s - u*(sigma)`` over the kinks of u* clipped to I.  Both steps
   are exact for sampled data, so the route carries no slope-discretization
-  error.  ``_conjugate_1d`` is the one place u* is read off that envelope
-  (one binary search in its crossings per slope); it returns u* and the
-  active grid index, and the section approximant psi1 uses it too.  The
-  back transform works in index space: the active indices of the
-  candidate slopes are nondecreasing, so counting them (one ``bincount``
-  and one cumulative sum) places every node among the candidates without
-  a search.
+  error.  ``_back_transform`` is the one copy of both steps, in index
+  space; it takes any cloud sorted by abscissa, ties included, and the
+  2-d envelope runs it along each edge of its slope polygon.
+  ``_conjugate_1d`` reads u* and the active grid index at arbitrary slopes
+  by one binary search in the crossings; the section approximant psi1
+  uses it.
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   in the primal plane, with cross-product predicates and no line
@@ -200,17 +199,54 @@ def _merge_runs(m, b, x, run_a, run_e):
     return A, E, XS
 
 
-def _conjugate_1d(s, u, sigmas, lines=None):
+def _conjugate_1d(s, u, sigmas):
     """Exact u*(sigma) = max_i (sigma s_i - u_i) at each of ``sigmas``, and
     the grid index i where the maximum is attained.
 
     u* is the upper envelope of the dual lines sigma -> s_i sigma - u_i;
-    one binary search in its crossings finds the active line.  ``lines``
-    is ``_upper_line_envelope(s, -u)`` when the caller already has it.
+    one binary search in its crossings finds the active line.
     """
-    keep, cross = _upper_line_envelope(s, -u) if lines is None else lines
+    keep, cross = _upper_line_envelope(s, -u)
     act = keep[np.searchsorted(cross, sigmas, side="right")]
     return sigmas * s[act] - u[act], act
+
+
+def _back_transform(s, u, lo, hi):
+    """max over sigma in [lo, hi] of sigma s_i - u*(sigma) at every point i,
+    with u* the conjugate of the points (s_i, u_i).
+
+    ``s`` is nondecreasing, with equal abscissae ordered by decreasing u.
+    The maximiser sits at lo, at a kink of u* inside (lo, hi) or at hi.
+    These candidates are cross[a:b] and the two ends, and each takes u*
+    from the line active to its right, so all are read by index.  The best
+    candidate is monotone in s: point i tries the count of candidates but
+    the last whose active index is below i, and that count's two
+    neighbours, over arrays holding one more copy of each end.  Near 1e308
+    the values overflow; the callers report that once, as a typed error.
+    """
+    keep, cross = _upper_line_envelope(s, -u)
+    a = cross.searchsorted(lo, "right")
+    b = max(a, cross.searchsorted(hi))
+    lam = np.empty(b - a + 4)
+    lam[:2], lam[2:-2], lam[-2:] = lo, cross[a:b], hi
+    j = np.arange(a - 1, b + 3)
+    j[:2], j[-2:] = a, cross.searchsorted(hi, "right")
+    act = keep[j]
+    ustar = lam * s[act] - u[act]
+    count = np.bincount(act[1:-2], minlength=s.size)
+    c = np.cumsum(count) - count
+    best = lam[c] * s - ustar[c]
+    c += 1
+    best = np.maximum(best, lam[c] * s - ustar[c])
+    c += 1
+    return np.maximum(best, lam[c] * s - ustar[c])
+
+
+def _finite(env):
+    """``env``, or one typed error when the transform left the float range."""
+    if not np.isfinite(env).all():
+        raise InvalidInputError("envelope overflows the float range")
+    return env
 
 
 def _slope_bounds(w: SampledWeight, interval: SlopeInterval):
@@ -232,38 +268,10 @@ def equilibrium_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWe
     slopes, so the envelope offset psi = u_e - u is <= 0 everywhere.
     """
     lo, hi = _slope_bounds(w, interval)
-
     s, u = w.grid, w.values
-    # Dual lines sigma -> s_i * sigma - u_i; their upper envelope is u*.
-    lines = _upper_line_envelope(s, -u)
-    cross = lines[1]
-    # Candidate slopes: interval endpoints plus kinks of u* inside I (at a
-    # kink either neighbouring line gives u*).
-    inside = (cross > lo) & (cross < hi)
-    cand = np.concatenate(([lo], cross[inside], [hi]))
-    # Back transform: the maximiser over sigma sits at a kink or endpoint,
-    # and the optimal candidate index is monotone in s.  Node i tries the
-    # candidates idx_i - 1, idx_i and idx_i + 1, where idx_i counts the
-    # candidates but the last whose active grid index is below i.  As s
-    # strictly increases and act does not decrease, that is a binary search
-    # of s[act] capped at the last candidate.  One copy of each end entry
-    # beyond it clamps idx - 1 and idx + 1 to the candidates.  Near 1e308
-    # this overflows; the check below reports it once, as a typed error.
     with np.errstate(over="ignore", invalid="ignore"):
-        ustar, act = _conjugate_1d(s, u, cand, lines)
-        count = np.bincount(act[:-1], minlength=s.size)
-        idx = np.cumsum(count) - count
-        cand = np.concatenate((cand[:1], cand, cand[-1:]))
-        ustar = np.concatenate((ustar[:1], ustar, ustar[-1:]))
-        j = idx + 1
-        best = cand[j] * s - ustar[j]
-        best = np.maximum(best, cand[idx] * s - ustar[idx])
-        j += 1
-        best = np.maximum(best, cand[j] * s - ustar[j])
-    env = np.minimum(best, u)
-    if not np.isfinite(env).all():
-        raise InvalidInputError("envelope overflows the float range")
-    return SampledWeight(s, env, lo, hi)
+        env = np.minimum(_back_transform(s, u, lo, hi), u)
+    return SampledWeight(s, _finite(env), lo, hi)
 
 
 def _turn(s, u, a, p, b):
@@ -334,15 +342,16 @@ def hull_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:
     hs, hu = s[h], u[h]
     # Clamp hull slopes to [lo, hi]: outside the pinch vertices the envelope
     # follows the boundary slopes.
-    ia = int(np.argmin(hu - lo * hs))
-    ib = int(np.argmin(hu - hi * hs))
-    env = np.interp(s, hs, hu)
-    left = s <= hs[ia]
-    env[left] = hu[ia] + lo * (s[left] - hs[ia])
-    right = s >= hs[ib]
-    env[right] = hu[ib] + hi * (s[right] - hs[ib])
-    env = np.minimum(env, u)
-    return SampledWeight(s, env, lo, hi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ia = int(np.argmin(hu - lo * hs))
+        ib = int(np.argmin(hu - hi * hs))
+        env = np.interp(s, hs, hu)
+        left = s <= hs[ia]
+        env[left] = hu[ia] + lo * (s[left] - hs[ia])
+        right = s >= hs[ib]
+        env[right] = hu[ib] + hi * (s[right] - hs[ib])
+        env = np.minimum(env, u)
+    return SampledWeight(s, _finite(env), lo, hi)
 
 
 def convexity_defect(w: SampledWeight) -> float:

@@ -25,14 +25,19 @@ row by row over the grid.  At every other node no maximiser lies at an
 (a) slope, since a maximiser there would put the node in that facet's
 triangle, so the maximum over the boundary of P is exact.
 
-That maximum is taken one edge [p, q] at a time.  Along
-sigma = p + lam (q - p), u* is the upper envelope of the lines
-lam -> ((q - p) . x_i) lam + (p . x_i - u_i), so the lines active on
-[0, 1] give the kinks inside the edge, its two ends and u* at each of them
-by index.  The best of these candidates for x moves monotonically with
-(q - p) . x, so one binary search in the active slopes places x, as in the
-1-d back transform.  A segment P is walked both ways and a point P is one
-edge of length zero, so one loop over the edges serves every shape of P.
+That maximum is taken one edge [p, q] at a time.  With d = q - p and
+sigma = p + lam d,
+
+    sigma . x - u*(sigma) = p . x + lam (d . x) - v*(lam),
+    v*(lam) = max_i (lam (d . x_i) - (u_i - p . x_i)),
+
+so the edge's maximum at a node is p . x plus the 1-d back transform over
+lam in [0, 1] of the projected cloud (d . x_i, u_i - p . x_i) at the
+node's own point: the per-edge search of Lucet 1997, by the 1-d
+envelope's kernel ``envelope._back_transform``.  A segment P is walked
+both ways and a point P is one edge of length zero, so one loop over the
+edges serves every shape of P.  Near 1e308 the projections overflow, and
+the result check reports that as one typed error.
 
 scipy is imported on first use, by the Qhull call, so importing this
 module (and the CLI commands that never reach a 2-d envelope) costs numpy
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envelope import _second_difference_defect, _upper_line_envelope
+from .envelope import _back_transform, _finite, _second_difference_defect
 from .errors import InvalidInputError
 from .weights import SampledWeight2D
 
@@ -89,33 +94,17 @@ def _in_polygon(pts, poly):
     return np.all(cross >= 0.0, axis=1)
 
 
-def _edge_back_transform(p, q, nodes, uu, x):
+def _edge_back_transform(p, q, nodes, uu):
     """max over sigma on the edge [p, q] of sigma . x - u*(sigma), at every
-    row of ``x``, by the per-edge search of the module docstring.
-
-    The lines active on [0, 1] are keep[a:b + 1]; each candidate takes u*
-    from the line active to its right, and x tries the count of active
-    slopes below d . x and that count's two neighbours.
-    """
-    d = q - p
-    slope = nodes @ d
-    icpt = nodes @ p - uu
-    order = np.lexsort((icpt, slope))
-    keep, cross = _upper_line_envelope(slope[order], icpt[order])
-    keep = order[keep]
-    a, b = np.searchsorted(cross, 0.0, "right"), np.searchsorted(cross, 1.0)
-    # one copy of each end candidate clamps the neighbours to the edge
-    lam = np.concatenate(([0.0, 0.0], cross[a:b], [1.0, 1.0]))
-    act = keep[np.r_[a, a:b + 1, b, b]]
-    ustar = lam * slope[act] + icpt[act]
-    y = x @ d
-    c = np.searchsorted(slope[keep[a:b + 1]], y)
-    best = lam[c] * y - ustar[c]
-    c += 1
-    best = np.maximum(best, lam[c] * y - ustar[c])
-    c += 1
-    best = np.maximum(best, lam[c] * y - ustar[c])
-    return x @ p + best
+    node x: the 1-d back transform over [0, 1] of the projected cloud
+    (d . x_i, u_i - p . x_i), d = q - p, plus p . x."""
+    base = nodes @ p
+    s, u = nodes @ (q - p), uu - base
+    # by d . x, equal ones by decreasing u, as the kernel takes them
+    order = np.lexsort((-u, s))
+    back = np.empty_like(s)
+    back[order] = _back_transform(s[order], u[order], 0.0, 1.0)
+    return base + back
 
 
 def _facet_cover(w: SampledWeight2D, grad, offset, tri):
@@ -186,12 +175,13 @@ def equilibrium_envelope_2d(w: SampledWeight2D) -> SampledWeight2D:
         exact = simplices[inside].ravel()
         env[exact] = uu[exact]
         rest[exact] = False
-    x = nodes[rest]
-    back = np.full(x.shape[0], -np.inf)
-    for p, q in zip(poly, np.roll(poly, -1, axis=0)):
-        np.maximum(back, _edge_back_transform(p, q, nodes, uu, x), out=back)
-    env[rest] = np.minimum(back, uu[rest])
-    return w.with_values(env.reshape(w.values.shape))
+    back = np.full(uu.size, -np.inf)
+    # near 1e308 the projections overflow; the check below reports it once
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q in zip(poly, np.roll(poly, -1, axis=0)):
+            np.maximum(back, _edge_back_transform(p, q, nodes, uu), out=back)
+    env[rest] = np.minimum(back[rest], uu[rest])
+    return w.with_values(_finite(env).reshape(w.values.shape))
 
 
 def grid_line_defects(values, grid_tau, grid_s) -> float:

@@ -239,7 +239,11 @@ def test_anchor_registry_covers_emitted_checks(verify_all_run, tmp_path):
         assert rep["anchor"] == CHECKS[rep["check"]].anchor
     path, _ = _convex_csv(tmp_path)
     assert main(["envelope", "--input", str(path), "--out", str(tmp_path)]) == 0
-    emitted = {rep["check"] for d in (out, tmp_path) for rep in _reports(d).values()}
+    reports = [rep for d in (out, tmp_path) for rep in _reports(d).values()]
+    # every run above is at default tolerances
+    for rep in reports:
+        assert rep["tolerance"] == CHECKS[rep["check"]].tol
+    emitted = {rep["check"] for rep in reports}
     # the acceptance suite runs envelope-gap-bound and the fiber tests and
     # demo 03 run fiber-power-mean; no CLI command does
     assert set(CHECKS) - emitted == {"envelope-gap-bound", "fiber-power-mean"}

@@ -10,8 +10,8 @@ from envlab import (InvalidInputError, NoEnvelopeError, SampledWeight,
                     SlopeInterval, checks, convexity_defect,
                     equilibrium_envelope, hull_envelope)
 from envlab import envelope
-from envlab.envelope import (_conjugate_1d, _monotone_chain_lower,
-                             _upper_line_envelope)
+from envlab.envelope import (_back_transform, _conjugate_1d,
+                             _monotone_chain_lower, _upper_line_envelope)
 from conftest import (_stack_line_envelope, bumpy_model_weight, noise_weight,
                       piecewise_quadratic_weight, soft_plus,
                       ulp_collinear_weights, weights_of_degree)
@@ -295,7 +295,8 @@ def test_extreme_inputs_overflow_silently(s, u, hull_too):
         assert np.array_equal(dual, primal)
 
 
-def test_envelope_out_of_float_range_is_a_typed_error():
+@pytest.mark.parametrize("route", [equilibrium_envelope, hull_envelope])
+def test_envelope_out_of_float_range_is_a_typed_error(route):
     # with slope 1 on a grid spanning +-1e308 the envelope at the left end is
     # about -2e308: one typed error that names the overflow, no warning
     s = np.linspace(-1.0, 1.0, 9) * 1e308
@@ -304,7 +305,7 @@ def test_envelope_out_of_float_range_is_a_typed_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidInputError, match="overflows the float range"):
-            equilibrium_envelope(w, SlopeInterval(1.0, 1.0))
+            route(w, SlopeInterval(1.0, 1.0))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -340,11 +341,10 @@ def _searchsorted_envelope(w, interval):
     three clipped candidate indices, kept as its differential oracle."""
     lo, hi = interval.sigma_min, interval.sigma_max
     s, u = w.grid, w.values
-    lines = _upper_line_envelope(s, -u)
-    cross = lines[1]
+    cross = _upper_line_envelope(s, -u)[1]
     inside = (cross > lo) & (cross < hi)
     cand = np.concatenate(([lo], cross[inside], [hi]))
-    ustar, act = _conjugate_1d(s, u, cand, lines)
+    ustar, act = _conjugate_1d(s, u, cand)
     idx = np.clip(np.searchsorted(s[act], s), 0, cand.size - 1)
     best = cand[idx] * s - ustar[idx]
     for off in (-1, 1):
@@ -491,6 +491,55 @@ def test_back_transform_matches_searchsorted_on_drawn_weights(w, near, seed):
     s = np.arange(w.grid.size, dtype=float)
     _assert_back_transform_matches_searchsorted(s, np.round(8.0 * w.values), rng)
     _assert_back_transform_matches_searchsorted(near.grid, near.values, rng)
+
+
+def _brute_back_transform(s, u, lo, hi):
+    """max over sigma in [lo, hi] of sigma s_i - u*(sigma) at every point,
+    over lo, hi and every pairwise crossing, with u* a brute-force maximum."""
+    i, j = np.triu_indices(s.size, 1)
+    apart = s[i] != s[j]
+    sigma = (u[j] - u[i])[apart] / (s[j] - s[i])[apart]
+    sigma = np.concatenate(([lo, hi], sigma[(sigma > lo) & (sigma < hi)]))
+    ustar = (sigma[:, None] * s - u).max(axis=1)
+    return (sigma[:, None] * s - ustar[:, None]).max(axis=0)
+
+
+@st.composite
+def tied_clouds(draw):
+    """(s, u, lo, hi): up to 40 points on a few abscissae, many of them
+    exact duplicates, sorted as the kernel takes them (equal abscissae by
+    decreasing u), with [lo, hi] around, between or at crossings of u*."""
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 41))
+    levels = rng.uniform(-3.0, 3.0, int(rng.integers(1, 6)))
+    s = rng.choice(levels, n)
+    u = rng.choice(np.round(rng.uniform(-4.0, 4.0, int(rng.integers(1, 8))), 1), n)
+    order = np.lexsort((-u, s))
+    s, u = s[order], u[order]
+    cross = _upper_line_envelope(s, -u)[1]
+    ends = rng.uniform(-5.0, 5.0, 2)
+    if cross.size:
+        pick = draw(st.sampled_from(["random", "cross", "at-cross"]))
+        if pick == "cross":
+            ends = rng.choice(cross, 2)
+        elif pick == "at-cross":
+            ends = np.full(2, rng.choice(cross))
+    lo, hi = np.sort(ends)
+    return s, u, float(lo), float(hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_clouds())
+def test_back_transform_on_tied_and_duplicate_points(cloud):
+    # the edge clouds of the 2-d envelope share abscissae (a whole tau row
+    # on the d = (1, 0) edge) and repeat points; the 1-d grids never do
+    s, u, lo, hi = cloud
+    got = _back_transform(s, u, lo, hi)
+    want = _brute_back_transform(s, u, lo, hi)
+    # an end at a crossing of near-equal abscissae is large, and so is sigma s
+    scale = max(1.0, np.abs(u).max(), max(-lo, hi) * np.abs(s).max())
+    assert np.abs(got - want).max() <= 1e-14 * scale
 
 
 def test_dual_routes_agree_at_fine_grid_size(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,19 @@ def test_segment_polytope_in_either_vertex_order():
     a = equilibrium_envelope_2d(SampledWeight2D(_T9, _S7, _BUMPY, seg)).values
     b = equilibrium_envelope_2d(SampledWeight2D(_T9, _S7, _BUMPY, seg[::-1])).values
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("poly", [[[1.0, 1.0], [0.5, 0.5]], [[1.0, 1.0]]],
+                         ids=["segment-P", "point-P"])
+def test_envelope_2d_out_of_float_range_is_a_typed_error(poly):
+    # on a grid spanning +-1e308 the projections p . x overflow; no Qhull
+    # call for these shapes, so the edge loop itself must report it, once
+    g = np.linspace(-1.0, 1.0, 5) * 1e308
+    w = SampledWeight2D(g, g, np.arange(25.0).reshape(5, 5) % 3, poly)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="overflows the float range"):
+            equilibrium_envelope_2d(w)
 
 
 def _edge_kinks(p, q, nodes, uu):
@@ -373,7 +388,7 @@ def test_edge_back_transform_matches_dense_edge_maximum(w):
     scale = max(1.0, float(np.abs(uu).max()))
     for p, q in _edges(w.slope_polytope):
         cand = np.concatenate([p[None], _edge_kinks(p, q, nodes, uu), q[None]])
-        got = _edge_back_transform(p, q, nodes, uu, nodes)
+        got = _edge_back_transform(p, q, nodes, uu)
         assert np.abs(got - _dense_back_transform(cand, nodes, uu)).max() <= 1e-12 * scale
 
 

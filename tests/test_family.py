@@ -8,6 +8,7 @@ from envlab import (FamilyCurve, InvalidInputError, InvalidParameterError,
                     monotone_t_grid, naive_fibered_weight, cayley_polytope,
                     default_t_grid, SlopeInterval)
 from envlab import family
+from envlab.checks import CHECKS
 from conftest import model_pair
 
 
@@ -180,6 +181,7 @@ def test_minimal_singularity_gap():
     assert rep.passed
     assert rep.details["observed_gap"] <= rep.details["C"]
     assert rep.details["K"] == pytest.approx(2.0)
+    assert rep.tolerance == CHECKS["envelope-gap-bound"].tol
 
 
 def test_cayley_polytope(pair):
