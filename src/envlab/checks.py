@@ -1,9 +1,9 @@
 """The check registry and the randomized batteries.
 
-``CHECKS`` maps each check name to the anchor phrase every exported report
-carries and, where ``--tol`` can override it, to the tolerance name and
-default.  The ``check_*`` functions are the one copy of each battery: the
-CLI and the acceptance suite call them with their own generators, case
+``CHECKS`` maps each check name to its report's anchor phrase, ``--tol``
+name (None when the reporting module fixes the tolerance) and default
+tolerance.  The ``check_*`` functions are the one copy of each battery:
+the CLI and the acceptance suite call them with their own generators, case
 counts and tolerances, and each records its generator's seed in
 ``details["seed"]``.  Checks that are one call live in their own modules.
 """
@@ -16,7 +16,8 @@ import numpy as np
 
 from . import fiber
 from .envelope import equilibrium_envelope, hull_envelope
-from .gluing import RegularizedMaxKernel, regularized_max
+from .family import GAP_BOUND_TOL, RIGHT_CONTINUITY_TOL
+from .gluing import GLUING_TOL, RegularizedMaxKernel, regularized_max
 from .report import VerificationReport
 from .sections import ToricSection, coefficient_inequality
 from .weights import SlopeInterval
@@ -34,13 +35,13 @@ CHECKS = {
     "family-monotonicity": Check(
         "normalized family curve monotone in t", "family", 1e-9),
     "family-right-continuity": Check(
-        "family curve right-continuous in t", None, 1e-9),
+        "family curve right-continuous in t", None, RIGHT_CONTINUITY_TOL),
     "fiber-volume": Check(
         "fiber probability density has unit mass", "fiber", 1e-10),
     "fiber-normalization": Check(
         "closed-form fiber moment identity", "fiber_rel", 1e-8),
     "fiber-power-mean": Check(
-        "power-mean inequality for the fiber integrand", None, 1e-10),
+        "power-mean inequality for the fiber integrand", None, fiber.POWER_MEAN_TOL),
     "section-sandwich": Check(
         "two-sided section approximant bounds", "sandwich", 1e-9),
     "coefficient-parseval": Check(
@@ -48,11 +49,11 @@ CHECKS = {
     "regularized-max-contract": Check(
         "smoothed maximum contract clauses", None, 1e-10),
     "hirzebruch-gluing": Check(
-        "two-chart glued weight positivity", None, 1e-9),
+        "two-chart glued weight positivity", None, GLUING_TOL),
     "envelope-run": Check(
         "single equilibrium envelope computation", "envelope", 1e-8),
     "envelope-gap-bound": Check(
-        "constrained envelope gap against weight bound", None, 0.0),
+        "constrained envelope gap against weight bound", None, GAP_BOUND_TOL),
 }
 
 # every name --tol accepts, in registry order

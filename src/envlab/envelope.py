@@ -226,7 +226,7 @@ def _back_transform(s, u, lo, hi):
     """
     keep, cross = _upper_line_envelope(s, -u)
     a = cross.searchsorted(lo, "right")
-    b = max(a, cross.searchsorted(hi))
+    b = cross.searchsorted(hi)    # a - 1 when lo = hi is a crossing
     lam = np.empty(b - a + 4)
     lam[:2], lam[2:-2], lam[-2:] = lo, cross[a:b], hi
     j = np.arange(a - 1, b + 3)

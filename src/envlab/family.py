@@ -53,6 +53,9 @@ _DELTAS = (1 / 32, 1 / 64, 1 / 128, 1 / 256)
 _BOX_SIZE = 1.0
 _T_SAMPLES = 101
 
+RIGHT_CONTINUITY_TOL = 1e-9
+GAP_BOUND_TOL = 0.0
+
 
 @dataclass(frozen=True)
 class ModelBundlePair:
@@ -204,7 +207,7 @@ def check_right_continuity(fc: FamilyCurve,
     return VerificationReport(
         check="family-right-continuity",
         max_violation=worst_increase,
-        tolerance=1e-9,
+        tolerance=RIGHT_CONTINUITY_TOL,
         grid={"deltas": list(_DELTAS), "t_values": [float(t) for t in ladders]},
         details={"residuals": ladders,
                  "fitted_decay": float(np.mean(rates)) if rates else 0.0})
@@ -286,7 +289,7 @@ def minimal_singularity_gap(pair: ModelBundlePair,
     return VerificationReport(
         check="envelope-gap-bound",
         max_violation=gap - c,
-        tolerance=0.0,
+        tolerance=GAP_BOUND_TOL,
         grid={"tau_points": int(fw.grid_tau.size),
               "s_points": int(fw.grid_s.size),
               "box_size": _BOX_SIZE},

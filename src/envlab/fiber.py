@@ -54,6 +54,8 @@ __all__ = [
 #: reconciled.
 STATED_NORMALIZATION = 4.0
 
+POWER_MEAN_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class FiberMeasure:
@@ -193,7 +195,7 @@ def holder_fiber_chain(m: FiberMeasure, t: float,
     return VerificationReport(
         check="fiber-power-mean",
         max_violation=(rhs - lhs) / scale,
-        tolerance=1e-10,
+        tolerance=POWER_MEAN_TOL,
         grid={"quadrature": "adaptive tan-substituted", "errors": [e1, e2, e3]},
         details={"lhs": lhs, "rhs": rhs, "t": t, "power": m_pow,
                  "a": m.a, "b": m.b})

@@ -200,6 +200,8 @@ def _bump(s, center=1.0, height=0.75, width=1.0):
 
 _DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
 
+GLUING_TOL = 1e-9
+
 
 def _config_number(config, key, kind, default=None):
     """``config[key]`` as ``kind`` (int or float), or a typed config error;
@@ -297,7 +299,7 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
         report = VerificationReport(
             check="hirzebruch-gluing",
             max_violation=defect if outer_exact else math.inf,
-            tolerance=1e-9,
+            tolerance=GLUING_TOL,
             grid={"tau_points": n, "s_points": n},
             details={"k": k_twist, "d_A": d_A, "d_L": d_L, "epsilon": eps,
                      "normalization_shift": shift,

@@ -1,10 +1,10 @@
 """Re-runnable mutation checks: apply each catalogued mutant to a temporary
 copy of the package and its tests, run only the tests named to kill it, and
-summarise what happened as JSON.
+print a JSON summary of what happened.
 
-    python tools/mutants.py                 # every entry, 2 at a time
-    python tools/mutants.py --only ID ...   # chosen entries
-    python tools/mutants.py --jobs 1 --out mutants.json
+    python tools/mutants.py > mutants.json
+
+The entries run ``JOBS`` at a time, each in its own temporary directory.
 
 Each entry names a file under the repository, an exact source snippet that
 must occur there once, its replacement, and the pytest ids to run.  An
@@ -26,7 +26,6 @@ never runs this file.
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
 import json
 import os
@@ -39,6 +38,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "pyproject.toml")
 TIMEOUT = 600.0
+JOBS = 2
 
 ENV1D = "src/envlab/envelope.py"
 ENV2D = "src/envlab/envelope2d.py"
@@ -55,16 +55,6 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "u*(hi) from the line left of a crossing at hi moves the "
                "envelope by an ulp"},
-    {"id": "kernel-b-below-a",
-     "file": ENV1D,
-     "find": "b = max(a, cross.searchsorted(hi))",
-     "replace": "b = cross.searchsorted(hi)",
-     "tests": [f"{T1D}::test_back_transform_matches_searchsorted",
-               f"{T1D}::test_back_transform_on_tied_and_duplicate_points"],
-     "expect": "survive",
-     "reason": "b = a - 1 only for a zero-width interval at a crossing; "
-               "the padded arrays then hold the three entries lo, hi, hi, "
-               "all on one line, and every point takes that slope"},
     {"id": "kernel-two-neighbours",
      "file": ENV1D,
      "find": "    c += 1\n    return np.maximum(best, lam[c] * s - ustar[c])",
@@ -121,7 +111,7 @@ CATALOGUE = [
     # the registry's default tolerances
     {"id": "registry-tolerance-missing",
      "file": "src/envlab/checks.py",
-     "find": '"family curve right-continuous in t", None, 1e-9)',
+     "find": '"family curve right-continuous in t", None, RIGHT_CONTINUITY_TOL)',
      "replace": '"family curve right-continuous in t", None, None)',
      "tests": ["tests/test_cli.py::test_anchor_registry_covers_emitted_checks"],
      "expect": "killed",
@@ -214,33 +204,14 @@ def summarise(records):
     return out
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="entries to run")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="entries run at once (default 2)")
-    parser.add_argument("--out", help="write the JSON summary here, not stdout")
-    args = parser.parse_args(argv)
-    entries = CATALOGUE
-    if args.only:
-        unknown = set(args.only) - {e["id"] for e in CATALOGUE}
-        if unknown:
-            parser.error(f"unknown entries: {', '.join(sorted(unknown))}")
-        entries = [e for e in CATALOGUE if e["id"] in args.only]
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    with concurrent.futures.ThreadPoolExecutor(min(args.jobs, len(entries))) as pool:
-        records = list(pool.map(run_entry, entries))
+def main():
+    with concurrent.futures.ThreadPoolExecutor(JOBS) as pool:
+        records = list(pool.map(run_entry, CATALOGUE))
     for r in records:
         print(f"{r['id']:34s} {r['outcome']:8s} (expect {r['expect']})",
               file=sys.stderr)
     summary = summarise(records)
-    text = json.dumps(summary, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(json.dumps(summary, indent=2, sort_keys=True))
     return 1 if summary["unexpected"] else 0
 
 
