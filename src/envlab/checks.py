@@ -16,11 +16,15 @@ import numpy as np
 
 from . import fiber
 from .envelope import equilibrium_envelope, hull_envelope
-from .family import GAP_BOUND_TOL, RIGHT_CONTINUITY_TOL
+from .family import GAP_BOUND_TOL, MONOTONE_TOL, RIGHT_CONTINUITY_TOL
 from .gluing import GLUING_TOL, RegularizedMaxKernel, regularized_max
 from .report import VerificationReport
-from .sections import ToricSection, coefficient_inequality
+from .sections import (PARSEVAL_TOL, SANDWICH_TOL, ToricSection,
+                       coefficient_inequality)
 from .weights import SlopeInterval
+
+
+REGULARIZED_MAX_TOL = 1e-10
 
 
 class Check(NamedTuple):
@@ -33,7 +37,7 @@ CHECKS = {
     "envelope-oracle-equivalence": Check(
         "dual-route equilibrium envelope agreement", "envelope", 1e-8),
     "family-monotonicity": Check(
-        "normalized family curve monotone in t", "family", 1e-9),
+        "normalized family curve monotone in t", "family", MONOTONE_TOL),
     "family-right-continuity": Check(
         "family curve right-continuous in t", None, RIGHT_CONTINUITY_TOL),
     "fiber-volume": Check(
@@ -43,11 +47,11 @@ CHECKS = {
     "fiber-power-mean": Check(
         "power-mean inequality for the fiber integrand", None, fiber.POWER_MEAN_TOL),
     "section-sandwich": Check(
-        "two-sided section approximant bounds", "sandwich", 1e-9),
+        "two-sided section approximant bounds", "sandwich", SANDWICH_TOL),
     "coefficient-parseval": Check(
-        "fiber-degree coefficient inequality", "parseval", 1e-8),
+        "fiber-degree coefficient inequality", "parseval", PARSEVAL_TOL),
     "regularized-max-contract": Check(
-        "smoothed maximum contract clauses", None, 1e-10),
+        "smoothed maximum contract clauses", None, REGULARIZED_MAX_TOL),
     "hirzebruch-gluing": Check(
         "two-chart glued weight positivity", None, GLUING_TOL),
     "envelope-run": Check(
@@ -107,10 +111,9 @@ def check_fiber_volume(rng, cases: int, tol: float) -> VerificationReport:
         grid={"cases": cases}, details={"seed": _seed(rng)})
 
 
-def check_fiber_normalization(rng, cases: int, tol: float,
-                              oracle_K: bool) -> VerificationReport:
-    """Relative error of the Gamma moment identity at 9 t values per case;
-    ``oracle_K`` adds the stated K and whether it agrees with the oracle's."""
+def check_fiber_normalization(rng, cases: int, tol: float) -> VerificationReport:
+    """Relative error of the Gamma moment identity at 9 t values per case,
+    with the oracle's K, the stated K and whether the two agree."""
     k_oracle = fiber.oracle_normalization()
     worst = 0.0
     for _ in range(cases):
@@ -121,14 +124,13 @@ def check_fiber_normalization(rng, cases: int, tol: float,
                          + t * np.log(a) + (1.0 - t) * np.log(b))
             rhs = fiber.gamma(1.0 + t) * fiber.gamma(2.0 - t) / k_oracle
             worst = max(worst, abs(lhs - rhs) / rhs)
-    details = {"seed": _seed(rng), "K_oracle": k_oracle}
-    if oracle_K:
-        details["K_stated"] = fiber.STATED_NORMALIZATION
-        details["normalizations_agree"] = bool(
-            abs(k_oracle - fiber.STATED_NORMALIZATION) < 1e-9)
     return VerificationReport(
         check="fiber-normalization", max_violation=worst, tolerance=tol,
-        grid={"cases": cases, "t_points": 9}, details=details)
+        grid={"cases": cases, "t_points": 9},
+        details={"seed": _seed(rng), "K_oracle": k_oracle,
+                 "K_stated": fiber.STATED_NORMALIZATION,
+                 "normalizations_agree": bool(
+                     abs(k_oracle - fiber.STATED_NORMALIZATION) < 1e-9)})
 
 
 def check_coefficient_parseval(rng, pair, cases: int,
@@ -147,8 +149,7 @@ def check_coefficient_parseval(rng, pair, cases: int,
         grid={"cases": cases}, details={"seed": _seed(rng)})
 
 
-def check_regularized_max_contract(rng, cases: int,
-                                   tol: float) -> VerificationReport:
+def check_regularized_max_contract(rng, cases: int) -> VerificationReport:
     """The regularized-max clauses on ``cases`` scalar draws, then convexity
     of M_eps(f, g) for 100 convex pairs on a 101-point grid."""
     worst = 0.0
@@ -175,6 +176,6 @@ def check_regularized_max_contract(rng, cases: int,
         convex_worst = max(convex_worst, -np.diff(m, n=2).min(), 0.0)
     return VerificationReport(
         check="regularized-max-contract",
-        max_violation=max(worst, convex_worst), tolerance=tol,
+        max_violation=max(worst, convex_worst), tolerance=REGULARIZED_MAX_TOL,
         grid={"cases": cases, "convex_pairs": 100},
         details={"seed": _seed(rng), "convexity_defect": convex_worst})

@@ -1,9 +1,12 @@
 """Batch front-end: envelope runs, verification suites, demo, plot export.
 
 Subcommands: envelope, family, fiber-check, sections-check, glue-demo,
-verify-all.  Every run writes one JSON report per check into the output
-directory (flag --out, else $ENVLAB_OUT, else the working directory;
-created if missing).
+verify-all.  Every run writes one JSON report per check, ``<check>.json``,
+into the output directory (flag --out, else $ENVLAB_OUT, else the working
+directory; created if missing).  --seed defaults to ``RunManifest.seed``,
+a --tol name to its check's registry default, and a glue-demo --config
+overrides keys of ``gluing.DEMO_CONFIG``.  fiber-check always reports
+both normalization constants, K_oracle and K_stated.
 Exit status: 0 all checks pass, 1 a verification failed (reports are
 still written), 2 input or IO trouble.
 """
@@ -33,7 +36,7 @@ from .weights import (SampledWeight, SampledWeight2D, _write_blocks,
                       load_weight_csv, save_weight2d_csv, save_weight_csv)
 
 __all__ = ["main", "run", "RunManifest", "export_plot_data",
-           "load_plot_data", "export_report", "export_weight2d_artifacts"]
+           "export_report", "export_weight2d_artifacts"]
 
 
 @dataclass
@@ -64,27 +67,28 @@ class RunManifest:
         return self.tolerances.get(entry.tol_name, entry.tol)
 
 
-def export_report(report: VerificationReport, out_dir, name,
+def export_report(report: VerificationReport, out_dir,
                   seed=None, wall_time=None) -> str:
-    """Write ``<out_dir>/<name>.json``; a check outside the registry raises KeyError."""
+    """Write ``<out_dir>/<report.check>.json``; a check outside the registry
+    raises KeyError."""
     payload = report.to_dict()
     payload["anchor"] = CHECKS[report.check].anchor
     payload["seed"] = seed
     payload["wall_time_s"] = wall_time
     payload["timestamp"] = round(time.time(), 3)
-    path = os.path.join(str(out_dir), f"{name}.json")
+    path = os.path.join(str(out_dir), f"{report.check}.json")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
 
 
-def export_plot_data(w, path, envelope=None, psi=None) -> str:
+def export_plot_data(w, path, envelope=None) -> str:
     """Write gnuplot-ready columns.
 
-    1D weights: rows ``s u u_e psi`` (envelope and approximant computed
-    from the slope metadata when not supplied).  2D weights: ``tau s phi``
-    rows in blank-line separated blocks, one block per tau.
+    1D weights: rows ``s u u_e psi`` (the envelope computed from the slope
+    metadata when not supplied, the approximant always).  2D weights:
+    ``tau s phi`` rows in blank-line separated blocks, one block per tau.
     """
     path = str(path)
     if isinstance(w, SampledWeight2D):
@@ -100,9 +104,8 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
     # no partial file behind
     if envelope is None:
         envelope = equilibrium_envelope(w, w.slope_interval)
-    if psi is None:
-        d = max(int(round(w.slope_right)), 0)
-        psi = psi1_approximant(w, d, 64) if d > 0 else envelope
+    d = max(int(round(w.slope_right)), 0)
+    psi = psi1_approximant(w, d, 64) if d > 0 else envelope
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# s u u_e psi\n")
         rows = zip(w.grid.tolist(), w.values.tolist(),
@@ -110,11 +113,6 @@ def export_plot_data(w, path, envelope=None, psi=None) -> str:
         _write_blocks(fh, (f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
                            for s, u, ue, p in rows))
     return path
-
-
-def load_plot_data(path):
-    """Read a .dat file back; returns column arrays (2D files: stacked)."""
-    return np.loadtxt(str(path), ndmin=2)
 
 
 def export_weight2d_artifacts(named_weights: dict, out_dir) -> None:
@@ -168,11 +166,11 @@ def _cmd_family(manifest: RunManifest):
     yield check_right_continuity(fc)
 
 
-def _cmd_fiber(manifest: RunManifest, oracle_K):
+def _cmd_fiber(manifest: RunManifest):
     rng = np.random.default_rng(manifest.seed)
     yield checks.check_fiber_volume(rng, 100, manifest.tol("fiber-volume"))
     yield checks.check_fiber_normalization(
-        rng, 20, manifest.tol("fiber-normalization"), oracle_K)
+        rng, 20, manifest.tol("fiber-normalization"))
 
 
 def _cmd_sections(manifest: RunManifest):
@@ -187,18 +185,17 @@ def _cmd_sections(manifest: RunManifest):
 
 
 def _cmd_glue(manifest: RunManifest):
-    config = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
+    config = {}
     if "config" in manifest.inputs:
         path = manifest.inputs["config"]
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                loaded = json.load(fh)
+                config = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise InvalidInputError(f"config {path} is not JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
+        if not isinstance(config, dict):
             raise InvalidInputError(
-                f"config must be a JSON object, got {type(loaded).__name__}")
-        config.update(loaded)
+                f"config must be a JSON object, got {type(config).__name__}")
     report, weights = hirzebruch_demo(config)
     export_weight2d_artifacts(weights, manifest.out_dir)
     yield report
@@ -209,11 +206,10 @@ def _cmd_verify_all(manifest: RunManifest):
         np.random.default_rng(manifest.seed), _random_case, 10,
         manifest.tol("envelope-oracle-equivalence"))
     yield from _cmd_family(manifest)
-    yield from _cmd_fiber(manifest, oracle_K=True)
+    yield from _cmd_fiber(manifest)
     yield from _cmd_sections(manifest)
     yield checks.check_regularized_max_contract(
-        np.random.default_rng(manifest.seed), 200,
-        manifest.tol("regularized-max-contract"))
+        np.random.default_rng(manifest.seed), 200)
     yield from _cmd_glue(manifest)
 
 
@@ -221,8 +217,7 @@ def _cmd_verify_all(manifest: RunManifest):
 COMMANDS = {
     "envelope": (_cmd_envelope, "envelope of one weight file"),
     "family": (_cmd_family, "family curve checks"),
-    "fiber-check": (lambda m: _cmd_fiber(m, m.inputs.get("oracle_K", False)),
-                    "fiber measure checks"),
+    "fiber-check": (_cmd_fiber, "fiber measure checks"),
     "sections-check": (_cmd_sections, "section approximant checks"),
     "glue-demo": (_cmd_glue, "ruled-surface gluing demo"),
     "verify-all": (_cmd_verify_all, "full verification battery"),
@@ -242,7 +237,7 @@ def run(manifest: RunManifest) -> int:
         start = time.perf_counter()
         handler, _ = COMMANDS[manifest.command]
         for rep in handler(manifest):
-            export_report(rep, manifest.out_dir, rep.check, seed=manifest.seed,
+            export_report(rep, manifest.out_dir, seed=manifest.seed,
                           wall_time=time.perf_counter() - start)
             reports.append(rep)
             start = time.perf_counter()
@@ -262,14 +257,11 @@ def _parser():
     sp = {name: sub.add_parser(name, help=text)
           for name, (_, text) in COMMANDS.items()}
     sp["envelope"].add_argument("--input", required=True, help="weight CSV")
-    sp["fiber-check"].add_argument(
-        "--oracle-K", action="store_true",
-        help="include both normalization constants in the report")
     sp["glue-demo"].add_argument("--config", help="demo config JSON")
     for command in sp.values():
         command.add_argument("--out", default=os.environ.get("ENVLAB_OUT", "."),
                              help="output directory (default $ENVLAB_OUT or .)")
-        command.add_argument("--seed", type=int, default=42)
+        command.add_argument("--seed", type=int, default=RunManifest.seed)
         command.add_argument("--tol", action="append", default=[],
                              metavar="NAME=VALUE", help="tolerance override")
     return p
@@ -286,7 +278,7 @@ def main(argv=None) -> int:
             print(f"error: bad tolerance override {item!r}", file=sys.stderr)
             return 2
     inputs = {k: v for k, v in vars(args).items()
-              if k in ("input", "config", "oracle_K") and v}
+              if k in ("input", "config") and v}
     try:
         manifest = RunManifest(command=args.command, inputs=inputs,
                                out_dir=args.out, seed=args.seed,

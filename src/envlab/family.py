@@ -27,7 +27,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .fiber import gamma, oracle_normalization
 from .measures import base_density
 from .report import VerificationReport
-from .weights import SampledWeight, SampledWeight2D, SlopeInterval
+from .weights import SampledWeight, SampledWeight2D
 
 __all__ = [
     "ModelBundlePair",
@@ -53,6 +53,7 @@ _DELTAS = (1 / 32, 1 / 64, 1 / 128, 1 / 256)
 _BOX_SIZE = 1.0
 _T_SAMPLES = 101
 
+MONOTONE_TOL = 1e-9
 RIGHT_CONTINUITY_TOL = 1e-9
 GAP_BOUND_TOL = 0.0
 
@@ -141,11 +142,8 @@ def monotone_t_grid(n: int = 101) -> np.ndarray:
 
 def _psi_row(pair: ModelBundlePair, t: float) -> np.ndarray:
     """psi_t = (mixture)_e - mixture, from one envelope call; t in [0, 1]."""
-    mix = t * pair.phi_A.values + (1.0 - t) * pair.phi_L.values
-    d = mixed_degree(pair, t)
-    env = equilibrium_envelope(SampledWeight(pair.grid, mix, 0.0, d),
-                               SlopeInterval(0.0, d))
-    return env.values - mix
+    mix = mix_weights(pair, t)
+    return equilibrium_envelope(mix, mix.slope_interval).values - mix.values
 
 
 def family_curve(pair: ModelBundlePair, t_grid=None) -> FamilyCurve:
@@ -158,7 +156,8 @@ def family_curve(pair: ModelBundlePair, t_grid=None) -> FamilyCurve:
     return FamilyCurve(pair, t_grid, psi)
 
 
-def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationReport:
+def check_monotone_family(fc: FamilyCurve,
+                          tol: float = MONOTONE_TOL) -> VerificationReport:
     """psi_t / (1 - t) must be nondecreasing in t at every base sample."""
     if fc.t_grid[-1] >= 1.0:
         raise InvalidParameterError(
@@ -175,40 +174,34 @@ def check_monotone_family(fc: FamilyCurve, tol: float = 1e-9) -> VerificationRep
         details={"t_max": float(fc.t_grid[-1])})
 
 
-def check_right_continuity(fc: FamilyCurve,
-                           t_values=None) -> VerificationReport:
+def check_right_continuity(fc: FamilyCurve) -> VerificationReport:
     """Residuals |psi_{t+d}/(1-t-d) - psi_t/(1-t)| must decay as d halves.
 
-    psi_t comes from the family when t is on its grid; fresh envelopes are
-    computed at each offset t + d.  The report records the residual ladder
-    and the fitted dyadic decay rate.
+    t runs over about 8 points of the family's grid in (0, 1 - d_max), so
+    psi_t is the family's own row; fresh envelopes are computed at each
+    offset t + d.  The report records the residual ladder and the fitted
+    dyadic decay rate.
     """
-    if t_values is None:
-        interior = fc.t_grid[(fc.t_grid > 0.0) & (fc.t_grid + _DELTAS[0] < 1.0)]
-        t_values = interior[:: max(1, interior.size // 8)]
-    # psi_t on the family's own grid is already computed, the same way
-    on_grid = dict(zip(fc.t_grid.tolist(), fc.psi))
-    t_values = np.asarray(t_values, dtype=float)
-    _check_t(np.concatenate([t_values, t_values + _DELTAS[0]]))
+    inside = np.flatnonzero((fc.t_grid > 0.0) & (fc.t_grid + _DELTAS[0] < 1.0))
     ladders = {}
     worst_increase = 0.0
-    for t in t_values.tolist():
-        psi = on_grid[t] if t in on_grid else _psi_row(fc.pair, t)
-        base = psi / (1.0 - t)
+    for i in inside[:: max(1, inside.size // 8)].tolist():
+        t = float(fc.t_grid[i])
+        base = fc.psi[i] / (1.0 - t)
         resid = []
         for d in _DELTAS:
             ahead = _psi_row(fc.pair, t + d) / (1.0 - t - d)
             resid.append(float(np.abs(ahead - base).max()))
         for r_coarse, r_fine in zip(resid, resid[1:]):
             worst_increase = max(worst_increase, r_fine - r_coarse)
-        ladders[float(t)] = resid
+        ladders[t] = resid
     rates = [math.log2(r[0] / r[-1]) / (len(r) - 1)
              for r in ladders.values() if r[0] > 0 and r[-1] > 0]
     return VerificationReport(
         check="family-right-continuity",
         max_violation=worst_increase,
         tolerance=RIGHT_CONTINUITY_TOL,
-        grid={"deltas": list(_DELTAS), "t_values": [float(t) for t in ladders]},
+        grid={"deltas": list(_DELTAS), "t_values": list(ladders)},
         details={"residuals": ladders,
                  "fitted_decay": float(np.mean(rates)) if rates else 0.0})
 

@@ -18,10 +18,10 @@ double sum into
 
     M_eps(x, y) = y + eps sum_j w_j h_j + E[(d + eps Z)_+],   d = x - y,
 
-where Z = h_i - h_j takes its nodes^2 values with weights w_i w_j.  The
-atoms of Z are sorted once per node count and their tail sums of p and
-p z cached, so E[(d + eps Z)_+] = d P_tail + eps Z_tail over the atoms
-with z > -d / eps costs one binary search per point.
+where Z = h_i - h_j takes its NODES^2 values with weights w_i w_j.  The
+atoms of Z are sorted once and their tail sums of p and p z cached, so
+E[(d + eps Z)_+] = d P_tail + eps Z_tail over the atoms with z > -d / eps
+costs one binary search per point.
 
 The demo glues an ambient weight of the form (convex in s) + k tau, the
 log-norm term of a section cutting out a degree -k divisor at tau -> -inf,
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -52,39 +52,35 @@ __all__ = [
 ]
 
 
+#: Gauss-Legendre nodes sampling the bump theta
+NODES = 48
+
+
 @dataclass(frozen=True)
 class RegularizedMaxKernel:
     """Smoothing scale for the regularized max."""
 
     epsilon: float
-    nodes: int = 48
 
     def __post_init__(self):
         if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
             raise InvalidParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if self.nodes < 4:
-            raise InvalidParameterError("kernel needs at least 4 quadrature nodes")
 
 
-@lru_cache(maxsize=8)
-def _mollifier_table(nodes: int):
-    """Gauss-Legendre samples of the bump exp(-1/(1-h^2)), normalized."""
-    h, wq = np.polynomial.legendre.leggauss(nodes)
-    w = wq * np.exp(-1.0 / (1.0 - h * h))
-    w /= w.sum()
-    return h, w
-
-
-@lru_cache(maxsize=8)
-def _difference_atoms(nodes: int):
-    """Atoms of Z = h_i - h_j (weights w_i w_j) sorted, with tail sums.
+@cache
+def _difference_atoms():
+    """Atoms of Z = h_i - h_j (weights w_i w_j) sorted, with tail sums; h_i
+    and w_i are the Gauss-Legendre samples of the bump exp(-1/(1-h^2)),
+    normalized.
 
     Returns ``(z, p_tail, zp_tail, mean_h)``: ``z`` ascending, and
     ``p_tail[k]``, ``zp_tail[k]`` the sums of p and p z over atoms k, k+1,
     ...; both tails end in a zero for the empty tail.  ``mean_h`` is
     sum_j w_j h_j.  The arrays are read-only because the cache shares them.
     """
-    h, w = _mollifier_table(nodes)
+    h, wq = np.polynomial.legendre.leggauss(NODES)
+    w = wq * np.exp(-1.0 / (1.0 - h * h))
+    w /= w.sum()
     z = (h[:, None] - h[None, :]).ravel()
     p = (w[:, None] * w[None, :]).ravel()
     order = np.argsort(z, kind="stable")
@@ -110,7 +106,7 @@ def regularized_max(k: RegularizedMaxKernel, x, y):
     # direct branch keeps that clause bit-exact
     mix = np.flatnonzero(np.abs(delta) < 2.0 * eps)
     if mix.size:
-        z, p_tail, zp_tail, mean_h = _difference_atoms(k.nodes)
+        z, p_tail, zp_tail, mean_h = _difference_atoms()
         d = delta[mix]
         # the atoms with d + eps z > 0 are the tail past -d / eps
         tail = np.searchsorted(z, -d / eps, side="right")
@@ -198,18 +194,17 @@ def _bump(s, center=1.0, height=0.75, width=1.0):
     return height * np.exp(-((s - center) / width) ** 2 / 2.0)
 
 
-_DEMO_CONFIG_KEYS = ("k", "d_A", "d_L", "grid", "epsilon")
+#: the glue demo's config; a caller's config overrides any of these keys
+DEMO_CONFIG = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
 
 GLUING_TOL = 1e-9
 
 
-def _config_number(config, key, kind, default=None):
-    """``config[key]`` as ``kind`` (int or float), or a typed config error;
-    ``default`` (when given) stands in for an absent key.  Booleans and
-    strings are not numbers, and an int key takes integral values only."""
-    if default is None and key not in config:
-        raise InvalidParameterError(f"config needs key {key!r}")
-    value = config.get(key, default)
+def _config_number(config, key, kind):
+    """``config[key]`` as ``kind`` (int or float), or a typed config error.
+    Booleans and strings are not numbers, and an int key takes integral
+    values only."""
+    value = config[key]
     not_a_number = InvalidParameterError(
         f"config {key} must be a finite number, got {value!r}")
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -226,24 +221,24 @@ def _config_number(config, key, kind, default=None):
 def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
     """End-to-end gluing run on the ruled-surface model.
 
-    ``config`` keys: k (positive twist of the ambient log-norm term),
-    d_A, d_L (divisor degrees), grid (points per axis), epsilon; any
-    other key fails the config stage.
+    ``config`` overrides keys of :data:`DEMO_CONFIG`: k (positive twist of
+    the ambient log-norm term), d_A, d_L (divisor degrees), grid (points
+    per axis), epsilon; any other key fails the config stage.
     Returns the verification report and the glued, outer and inner
     weights keyed by those names.
     """
     stage = "config"
     try:
-        unknown = sorted(set(config) - set(_DEMO_CONFIG_KEYS))
+        unknown = sorted(set(config) - set(DEMO_CONFIG))
         if unknown:
             raise InvalidParameterError(
-                f"unknown config keys {unknown}; allowed: "
-                + ", ".join(_DEMO_CONFIG_KEYS))
+                f"unknown config keys {unknown}; allowed: " + ", ".join(DEMO_CONFIG))
+        config = {**DEMO_CONFIG, **config}
         k_twist = _config_number(config, "k", int)
         d_A = _config_number(config, "d_A", int)
         d_L = _config_number(config, "d_L", int)
-        n = _config_number(config, "grid", int, 128)
-        eps = _config_number(config, "epsilon", float, 0.25)
+        n = _config_number(config, "grid", int)
+        eps = _config_number(config, "epsilon", float)
         if k_twist < 1:
             raise InvalidParameterError(f"twist k must be >= 1, got {k_twist}")
         if n < 2:

@@ -60,6 +60,9 @@ __all__ = [
     "coefficient_inequality",
 ]
 
+SANDWICH_TOL = 1e-9
+PARSEVAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ComparisonConstants:
@@ -217,7 +220,7 @@ def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
 
 
 def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
-                   tol: float = 1e-9) -> VerificationReport:
+                   tol: float = SANDWICH_TOL) -> VerificationReport:
     """psi2 - C' <= psi1 <= envelope, plus the big-case gap when d >= 1."""
     env = equilibrium_envelope(w, SlopeInterval(0.0, float(d)))
     psi1 = psi1_approximant(w, d, m)
@@ -317,7 +320,7 @@ def coefficient_inequality(section: ToricSection,
     return VerificationReport(
         check="coefficient-parseval",
         max_violation=max(term_violation, parseval),
-        tolerance=1e-8,
+        tolerance=PARSEVAL_TOL,
         grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
               "angles": [n_theta, n_phi],
               "nodes": n_theta * n_phi * n_r * n_s},

@@ -115,6 +115,10 @@ def _check_polygon(poly):
                  - (nxt[:, 1] - p[:, 1]) * (nnxt[:, 0] - p[:, 0]))
         if np.any(cross < -1e-12):
             raise InvalidInputError("slope_polytope vertices are not convex")
+        if np.all(cross <= 1e-12):
+            # collinear: the lexicographic extremes are the segment's ends
+            ends = p[np.lexsort(p.T[::-1])[[0, -1]]]
+            p = ends[:1] if np.array_equal(ends[0], ends[1]) else ends
     return p
 
 
@@ -123,7 +127,8 @@ class SampledWeight2D:
     """A sampled weight u(tau, s) on a product grid.
 
     ``slope_polytope`` is the convex polygon of allowed gradient pairs
-    (d/dtau, d/ds), given as a vertex array of shape (m, 2).
+    (d/dtau, d/ds), given as a vertex array of shape (m, 2); collinear
+    vertices are stored as their segment's two ends (or one point).
     """
 
     grid_tau: np.ndarray

@@ -68,7 +68,7 @@ def test_fiber_volume_unit_mass():
 
 def test_fiber_gamma_identity():
     rep = checks.check_fiber_normalization(np.random.default_rng(1004), 20,
-                                           1e-8, oracle_K=True)
+                                           1e-8)
     d = rep.details
     _report("fiber-gamma-identity", rep.passed,
             f"max rel error {rep.max_violation:.3e} (tol 1e-08); "
@@ -128,7 +128,7 @@ def test_coefficient_parseval():
 
 def test_regularized_max_contract():
     rep = checks.check_regularized_max_contract(np.random.default_rng(1008),
-                                                1000, 1e-10)
+                                                1000)
     _report("regularized-max-contract", rep.passed,
             f"max violation {rep.max_violation:.3e}, convexity defect "
             f"{rep.details['convexity_defect']:.3e} (tol 1e-10)")

@@ -12,8 +12,7 @@ from envlab import (FiberMeasure, SampledWeight, SampledWeight2D,
                     holder_fiber_chain, save_weight_csv)
 from envlab.checks import CHECKS
 from envlab import cli
-from envlab.cli import (RunManifest, export_plot_data, export_report,
-                        load_plot_data, main, run)
+from envlab.cli import RunManifest, export_plot_data, export_report, main, run
 from envlab.report import VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -113,13 +112,19 @@ def test_glue_demo_unknown_config_key(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
-def test_fiber_check_oracle_flag(tmp_path):
-    code = main(["fiber-check", "--oracle-K", "--out", str(tmp_path)])
+def test_fiber_check_oracle_flag(tmp_path, capsys):
+    # both constants are always reported, so there is no flag to ask for them
+    code = main(["fiber-check", "--out", str(tmp_path)])
     assert code == 0
     rep = json.loads((tmp_path / "fiber-normalization.json").read_text())
     assert rep["details"]["K_oracle"] == pytest.approx(2.0)
     assert rep["details"]["K_stated"] == 4.0
     assert rep["details"]["normalizations_agree"] is False
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber-check", "--oracle-K", "--out", str(tmp_path / "flag")])
+    assert exc.value.code == 2
+    assert "--oracle-K" in capsys.readouterr().err
+    assert not (tmp_path / "flag").exists()
 
 
 def test_out_dir_env_var(tmp_path, monkeypatch):
@@ -152,8 +157,11 @@ def test_glue_demo_integral_floats(tmp_path):
 
 def test_report_determinism(tmp_path):
     rep = VerificationReport("fiber-volume", 1e-12, 1e-10, {"cases": 1}, {})
-    p1 = export_report(rep, tmp_path, "a", seed=7, wall_time=None)
-    p2 = export_report(rep, tmp_path, "b", seed=7, wall_time=None)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    p1 = export_report(rep, tmp_path / "a", seed=7, wall_time=None)
+    p2 = export_report(rep, tmp_path / "b", seed=7, wall_time=None)
+    assert Path(p1) == tmp_path / "a" / "fiber-volume.json"
     strip = lambda p: [l for l in open(p) if "timestamp" not in l]
     assert strip(p1) == strip(p2)
     body = json.loads(open(p1).read())
@@ -163,13 +171,15 @@ def test_report_determinism(tmp_path):
 def test_export_rejects_unregistered_check(tmp_path):
     rep = VerificationReport("orphan-check", 0.0, 1.0, {}, {})
     with pytest.raises(KeyError):
-        export_report(rep, tmp_path, "orphan")
+        export_report(rep, tmp_path)
     assert not os.listdir(tmp_path)
 
 
 def test_export_power_mean_report(tmp_path):
     rep = holder_fiber_chain(FiberMeasure(2.0, 0.5), 0.5, 2)
-    body = json.loads(Path(export_report(rep, tmp_path, "power-mean")).read_text())
+    path = Path(export_report(rep, tmp_path))
+    assert path == tmp_path / "fiber-power-mean.json"
+    body = json.loads(path.read_text())
     assert body["anchor"] == CHECKS["fiber-power-mean"].anchor
     assert body["tolerance"] == CHECKS["fiber-power-mean"].tol
 
@@ -259,7 +269,7 @@ def test_wall_times_are_per_check(verify_all_run):
 def test_plot_data_1d_roundtrip(tmp_path):
     _, w = _convex_csv(tmp_path)
     path = export_plot_data(w, tmp_path / "w.dat")
-    cols = load_plot_data(path)
+    cols = np.loadtxt(path, ndmin=2)
     assert cols.shape == (w.grid.size, 4)
     assert np.abs(cols[:, 0] - w.grid).max() == 0.0
     assert np.abs(cols[:, 1] - w.values).max() == 0.0
@@ -272,7 +282,7 @@ def test_plot_data_2d_blocks(tmp_path):
     path = export_plot_data(w, tmp_path / "w2.dat")
     text = open(path).read()
     assert text.count("\n\n") == gt.size  # one blank separator per tau block
-    cols = load_plot_data(path)
+    cols = np.loadtxt(path, ndmin=2)
     assert cols.shape == (12, 3)
     assert np.abs(cols[:, 2] - w.values.ravel()).max() == 0.0
 
@@ -284,12 +294,13 @@ def test_plot_data_matches_per_element_format(tmp_path):
     # reference: one f-string per element on numpy scalars
     grid = np.concatenate([np.linspace(-3.0, -1.0, 5000),
                            np.sort(np.array(AWKWARD))])
-    cols = [np.resize(np.roll(AWKWARD, i), grid.size) for i in range(3)]
-    w, env, psi = (SampledWeight(grid, c, 0.0, 1.0) for c in cols)
+    cols = [np.resize(np.roll(AWKWARD, i), grid.size) for i in range(2)]
+    # slope data (0, 0): no approximant, so the psi column is the envelope
+    w, env = (SampledWeight(grid, c, 0.0, 0.0) for c in cols)
     expected = "# s u u_e psi\n" + "".join(
-        f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
-        for s, u, ue, p in zip(w.grid, w.values, env.values, psi.values))
-    export_plot_data(w, tmp_path / "w.dat", envelope=env, psi=psi)
+        f"{s:.17g} {u:.17g} {ue:.17g} {ue:.17g}\n"
+        for s, u, ue in zip(w.grid, w.values, env.values))
+    export_plot_data(w, tmp_path / "w.dat", envelope=env)
     assert (tmp_path / "w.dat").read_text() == expected
 
     axis = np.sort(np.array(AWKWARD))

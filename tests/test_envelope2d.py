@@ -158,6 +158,27 @@ def test_segment_polytope_in_either_vertex_order():
     assert np.array_equal(a, b)
 
 
+_T9S9 = np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 1.0, 9)
+
+
+@pytest.mark.parametrize("u, poly, ends", [
+    (2.0 * _T9S9[0][:, None] + 5.0 * np.abs(_T9S9[1])[None, :],
+     [[2.0, 0.0], [2.0, 0.5], [2.0, 1.0], [2.0, 2.0]], [[2.0, 0.0], [2.0, 2.0]]),
+    (5.0 * np.abs(_T9S9[0])[:, None] + 0.0 * _T9S9[1][None, :],
+     [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]),
+    (np.cos(_T9S9[0])[:, None] * np.sin(3.0 * _T9S9[1])[None, :],
+     [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]),
+], ids=["4-vertex-segment", "3-vertex-segment", "3-vertex-point"])
+def test_zero_area_polytope_is_its_segment_or_point(u, poly, ends):
+    # collinear vertices pass the convexity check; as a polygon they would
+    # let every facet gradient on their line count as inside P
+    many = SampledWeight2D(*_T9S9, u, poly)
+    assert np.array_equal(
+        equilibrium_envelope_2d(many).values,
+        equilibrium_envelope_2d(SampledWeight2D(*_T9S9, u, ends)).values)
+    assert many.slope_polytope.tolist() == ends
+
+
 @pytest.mark.parametrize("poly", [[[1.0, 1.0], [0.5, 0.5]], [[1.0, 1.0]]],
                          ids=["segment-P", "point-P"])
 def test_envelope_2d_out_of_float_range_is_a_typed_error(poly):

@@ -75,8 +75,12 @@ def test_corrupted_family_fails(fc):
 
 
 def test_right_continuity(pair, fc):
-    rep = check_right_continuity(fc, t_values=np.array([0.25, 0.5]))
+    rep = check_right_continuity(fc)
     assert rep.passed
+    # about 8 t of the family's grid, each with room for the largest offset
+    t_values = rep.grid["t_values"]
+    assert len(t_values) == 8 and set(t_values) <= set(fc.t_grid.tolist())
+    assert 0.0 < min(t_values) and max(t_values) + 1 / 32 < 1.0
     for ladder in rep.details["residuals"].values():
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
 
@@ -91,15 +95,18 @@ def _count_envelopes(monkeypatch):
 
 
 def test_right_continuity_reuses_family_psi(pair, fc, monkeypatch):
-    # on-grid t takes psi_t from the family: one envelope fewer per t and
-    # the same report as a family whose grid lacks t
-    t_values = fc.t_grid[[20, 50]]
-    off_grid = FamilyCurve(pair, fc.t_grid[:2], fc.psi[:2])
-    fresh = check_right_continuity(off_grid, t_values=t_values)
+    # psi_t is the family's own row, so each checked t takes exactly one
+    # envelope per offset t + d, and the ladder starts from that row
     calls = _count_envelopes(monkeypatch)
-    rep = check_right_continuity(fc, t_values=t_values)
-    assert len(calls) == 4 * t_values.size
-    assert rep.to_dict() == fresh.to_dict()
+    rep = check_right_continuity(fc)
+    t_values = rep.grid["t_values"]
+    assert len(calls) == 4 * len(t_values)
+    t, d = t_values[0], 1 / 32
+    row = fc.psi[fc.t_grid.tolist().index(t)]
+    mix = mix_weights(pair, t + d)
+    ahead = equilibrium_envelope(mix, mix.slope_interval).values - mix.values
+    assert rep.details["residuals"][t][0] == \
+        np.abs(ahead / (1.0 - t - d) - row / (1.0 - t)).max()
 
 
 def test_family_curve_takes_one_envelope_per_t(pair, monkeypatch):
@@ -110,8 +117,6 @@ def test_family_curve_takes_one_envelope_per_t(pair, monkeypatch):
     # an out-of-range t is refused before any envelope is taken
     with pytest.raises(InvalidParameterError):
         family_curve(pair, [0.0, 0.5, 1.5])
-    with pytest.raises(InvalidParameterError):
-        check_right_continuity(fcc, t_values=np.array([0.99]))
     assert len(calls) == 3
     mix = mix_weights(pair, 0.25)
     env = equilibrium_envelope(mix, SlopeInterval(0.0, mix.slope_right))

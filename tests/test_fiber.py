@@ -49,10 +49,10 @@ def test_stated_constant_disagrees_with_oracle():
 
 
 def test_gamma_identity_random_parameters(rng, monkeypatch):
-    assert checks.check_fiber_normalization(rng, 10, 1e-10, False).passed
+    assert checks.check_fiber_normalization(rng, 10, 1e-10).passed
     monkeypatch.setattr(fiber, "bergman_fiber_integral",
                         lambda m, t: bergman_fiber_integral(m, t) + 1e-9)
-    assert not checks.check_fiber_normalization(rng, 10, 1e-10, False).passed
+    assert not checks.check_fiber_normalization(rng, 10, 1e-10).passed
 
 
 def test_bergman_integral_closed_values():

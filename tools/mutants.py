@@ -82,6 +82,44 @@ CATALOGUE = [
      "tests": [f"{T1D}::test_envelope_out_of_float_range_is_a_typed_error"],
      "expect": "killed",
      "reason": "the hull oracle blames the caller's finite values"},
+    # the 1-d line envelope's merge of convex runs and the quickhull oracle
+    {"id": "merge-segment-starts-at-run-head",
+     "file": ENV1D,
+     "find": "A[s + 1:] = [q]",
+     "replace": "A[s + 1:] = [a]",
+     "tests": [f"{T1D}::test_upper_line_envelope_brute_force",
+               f"{T1D}::test_upper_line_envelope_matches_stack"],
+     "expect": "killed",
+     "reason": "a run's lines that its bridge line popped come back"},
+    {"id": "quickhull-drops-collinear-neighbours",
+     "file": ENV1D,
+     "find": "pts = np.flatnonzero(mid <= 0.0) + 1",
+     "replace": "pts = np.flatnonzero(mid < 0.0) + 1",
+     "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
+               f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "a point on the chord of its neighbours is on the hull when "
+               "they are"},
+    # the 2-d envelope's triangle scan and zero-area polytopes
+    {"id": "facet-cover-ignores-upper-edge",
+     "file": ENV2D,
+     "find": "short = np.where(tau <= t1, s0 + (s1 - s0) * lam01, "
+             "s1 + (s2 - s1) * lam12)",
+     "replace": "short = s0 + (s1 - s0) * lam01",
+     "tests": [f"{T2D}::test_nodes_under_in_p_facets_take_the_facet_plane",
+               f"{T2D}::test_matches_dense_two_pass"],
+     "expect": "killed",
+     "reason": "above its middle vertex a triangle's rows run past its edge, "
+               "so nodes whose maximiser is on the boundary of P take an "
+               "in-P plane below the envelope"},
+    {"id": "zero-area-ends-by-angle",
+     "file": "src/envlab/weights.py",
+     "find": "ends = p[np.lexsort(p.T[::-1])[[0, -1]]]",
+     "replace": "ends = p[[0, -1]]",
+     "tests": [f"{T2D}::test_zero_area_polytope_is_its_segment_or_point"],
+     "expect": "killed",
+     "reason": "the first and last vertex by angle need not be the "
+               "segment's ends"},
     # the per-edge use of the kernel
     {"id": "edge-ties-by-increasing-u",
      "file": ENV2D,
@@ -139,7 +177,7 @@ CATALOGUE = [
      "tests": ["tests/test_gluing.py"],
      "expect": "survive",
      "reason": "the chain then runs clockwise with the same vertices, and "
-               "no check reads the glued weight's polytope orientation"},
+               "SampledWeight2D sorts them counter-clockwise again"},
 ]
 
 
