@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -56,8 +57,9 @@ class RunManifest:
             if name not in TOLERANCE_NAMES:
                 raise ValueError(f"unknown tolerance {name!r}; allowed: "
                                  + ", ".join(TOLERANCE_NAMES))
-            if not tol > 0:
-                raise ValueError(f"tolerance {name} must be positive, got {tol}")
+            if not (tol > 0 and math.isfinite(tol)):
+                raise ValueError(
+                    f"tolerance {name} must be positive and finite, got {tol}")
         if self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

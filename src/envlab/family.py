@@ -158,14 +158,22 @@ def family_curve(pair: ModelBundlePair, t_grid=None) -> FamilyCurve:
 
 def check_monotone_family(fc: FamilyCurve,
                           tol: float = MONOTONE_TOL) -> VerificationReport:
-    """psi_t / (1 - t) must be nondecreasing in t at every base sample."""
+    """psi_t / (1 - t) must be nondecreasing in t at every base sample.
+
+    The rows are streamed: each drop h_prev - h_cur is folded into a
+    running maximum, so no (n_t, n) array is built; a NaN sticks in it.
+    """
     if fc.t_grid[-1] >= 1.0:
         raise InvalidParameterError(
             "monotonicity check requires a t-grid strictly below 1")
-    h = fc.psi / (1.0 - fc.t_grid)[:, None]
-    drop = -np.diff(h, axis=0)
-    # in place: one (n_t, n) temporary fewer at the family's peak memory
-    violation = float(np.maximum(0.0, drop, out=drop).max())
+    scale = 1.0 - fc.t_grid
+    worst = np.zeros(fc.pair.grid.size)
+    prev = fc.psi[0] / scale[0]
+    for row, sc in zip(fc.psi[1:], scale[1:]):
+        cur = row / sc
+        np.maximum(worst, prev - cur, out=worst)
+        prev = cur
+    violation = float(worst.max())
     return VerificationReport(
         check="family-monotonicity",
         max_violation=violation,

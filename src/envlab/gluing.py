@@ -31,7 +31,6 @@ against the fibered envelope weight built by the family module.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -41,7 +40,7 @@ from .envelope2d import grid_line_defects
 from .errors import EnvlabError, GluingError, InvalidInputError, InvalidParameterError
 from .family import ModelBundlePair, family_curve, fibered_weight
 from .report import VerificationReport
-from .weights import SampledWeight, SampledWeight2D
+from .weights import SampledWeight, SampledWeight2D, _is_number
 
 __all__ = [
     "RegularizedMaxKernel",
@@ -207,7 +206,7 @@ def _config_number(config, key, kind):
     value = config[key]
     not_a_number = InvalidParameterError(
         f"config {key} must be a finite number, got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_number(value):
         raise not_a_number
     try:
         number = kind(value)

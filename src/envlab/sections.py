@@ -10,11 +10,12 @@ sections is realised by the best monomial.  Two normalizations appear:
 * L2-normalized (psi2) against a base probability measure, which can only
   enlarge the coefficient, so psi2 >= psi1.
 
-Both are one lattice maximum max_k ( (k/m) s - c_k ), taken densely over
-lattice x grid, and differ only in c_k: for psi1 the exact u*(k/m), read
-off the 1-d line envelope by the same lookup the envelope uses; for psi2
-the log squared L2 norm of the k-th monomial, divided by m.  When no k/m
-lies in [slope_left, slope_right] there is no approximant.
+Both are one lattice maximum max_k ( (k/m) s - c_k ), folded one lattice
+row at a time into a running maximum over the grid, and differ only in
+c_k: for psi1 the exact u*(k/m), read off the 1-d line envelope by the
+same lookup the envelope uses; for psi2 the log squared L2 norm of the
+k-th monomial, divided by m.  When no k/m lies in [slope_left,
+slope_right] there is no approximant.
 
 The two are sandwiched around the envelope up to the comparison constant
 C' = C'_1 + C'_2 built from chart-box oscillations and the density ratio
@@ -25,11 +26,11 @@ circle averaging in the fiber angle is a Parseval identity: the weighted
 L2 mass of F splits into the masses of its fiber-degree components, so
 each component mass is bounded by the total.  Both sides are integrated
 numerically, the total through literal angle averaging: F itself is
-evaluated on an equispaced (theta, phi) angle grid, one complex product
-per fiber angle theta of the fiber factors r^l e^{il theta} against the
-base factors for every (phi, s) column, and |F|^2 is averaged from those
-values, so the total never shares the coefficient algebra of the
-component side.  |F|^2 only carries angle frequencies |l - l'| <= m and
+evaluated on an equispaced (theta, phi) angle grid, as complex products
+of the fiber factors r^l e^{il theta} of each angle theta against the base
+factors of one block of (phi, s) columns at a time, and |F|^2 is averaged
+from those values, so the total never shares the coefficient algebra of
+the component side.  |F|^2 only carries angle frequencies |l - l'| <= m and
 |k - k'| <= k_max, so m + 1 and k_max + 1 angles average it exactly.
 """
 
@@ -62,6 +63,15 @@ __all__ = [
 
 SANDWICH_TOL = 1e-9
 PARSEVAL_TOL = 1e-8
+
+# exp(x) rounds to 0.0 for every x <= -746 (the smallest subnormal is
+# exp(-744.4)); tests/test_sections.py checks this on the running numpy
+_EXP_UNDERFLOW = -746.0
+
+# (phi, s) columns per block of the Parseval product: 96 r-nodes x 64
+# complex columns is 96 KiB, so every per-block temporary stays below
+# glibc's default 128 KiB mmap threshold and in cache
+_PARSEVAL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -117,8 +127,15 @@ def _slope_lattice(w: SampledWeight, d: int, m: int) -> np.ndarray:
 
 
 def _lattice_max(w: SampledWeight, lattice, c) -> SampledWeight:
-    """max_k (lattice_k s - c_k) at every grid point s, one dense product."""
-    vals = (lattice[:, None] * w.grid[None, :] - c[:, None]).max(axis=0)
+    """max_k (lattice_k s - c_k) at every grid point s, one lattice row at a
+    time folded into a running maximum (the same pairwise maxima, in the
+    same order, as a max over the dense lattice x grid array)."""
+    vals = lattice[0] * w.grid - c[0]
+    row = np.empty_like(vals)
+    for sig, ck in zip(lattice[1:], c[1:]):
+        np.multiply(sig, w.grid, out=row)
+        row -= ck
+        np.maximum(vals, row, out=vals)
     return SampledWeight(w.grid, vals, float(lattice[0]), float(lattice[-1]))
 
 
@@ -167,6 +184,7 @@ def _log_norms_squared(w, lattice, m):
     mu = m * w(nodes)
     out = np.empty(lattice.size)
     expo = np.empty_like(nodes)
+    keep = np.empty(nodes.size, dtype=bool)
     for i, sig in enumerate(lattice):
         # m sig nodes - m u + log_meas, in that order, in one buffer
         np.multiply(m * sig, nodes, out=expo)
@@ -174,7 +192,13 @@ def _log_norms_squared(w, lattice, m):
         expo += log_meas
         top = expo.max()
         expo -= top
-        out[i] = top + math.log(np.exp(expo, out=expo).sum())
+        # exp is exactly 0.0 below -746 but slow there (most of the nodes
+        # at large m), so those entries are zeroed instead; the sum over
+        # the whole buffer is unchanged
+        np.greater(expo, _EXP_UNDERFLOW, out=keep)
+        np.exp(expo, out=expo, where=keep)
+        expo[~keep] = 0.0
+        out[i] = top + math.log(expo.sum())
     return out
 
 
@@ -253,6 +277,20 @@ def _fiber_quadrature():
     return r, w
 
 
+def _angle_sum_sq(factors, base):
+    """sum over the fiber angles of |factor @ base|^2, elementwise, taken
+    over one block of ``_PARSEVAL_BLOCK`` columns at a time; each element
+    adds its angles in the same order as a product over all columns."""
+    sq_sum = np.zeros((factors[0].shape[0], base.shape[1]))
+    for j in range(0, base.shape[1], _PARSEVAL_BLOCK):
+        block = slice(j, j + _PARSEVAL_BLOCK)
+        cols, acc = base[:, block], sq_sum[:, block]
+        for factor in factors:
+            f = factor @ cols
+            acc += f.real ** 2 + f.imag ** 2
+    return sq_sum
+
+
 def coefficient_inequality(section: ToricSection,
                            pair: ModelBundlePair) -> VerificationReport:
     """Fiber-degree component masses against the total mass of a section.
@@ -264,11 +302,12 @@ def coefficient_inequality(section: ToricSection,
     on the same radial/base nodes, with F evaluated at every angle node.
     The grid has m + 1 angles theta and k_max + 1 angles phi, the fewest
     that integrate |F|^2 exactly: its angle frequencies are differences
-    l - l' and k - k' of at most m and k_max.  At each theta, F is one
+    l - l' and k - k' of at most m and k_max.  At each theta, F is the
     complex product of r^l e^{il theta} on the r rows against
-    sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns, and |F|^2 is
-    accumulated over theta.  Verifies every component <= total and that the
-    components sum to the total.
+    sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns, taken one block
+    of columns at a time with the fiber factors built once per angle, and
+    |F|^2 is accumulated over theta.  Verifies every component <= total
+    and that the components sum to the total.
     """
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
@@ -307,10 +346,8 @@ def coefficient_inequality(section: ToricSection,
     base = base.reshape(degrees.size, n_phi * n_s)
     # F at one fiber angle: (r^l e^{il theta})[r, l] @ base[l, (phi, s)]
     r_pow = r[:, None] ** degrees[None, :]
-    sq_sum = np.zeros((n_r, n_phi * n_s))
-    for th in theta:
-        f = (r_pow * np.exp(1j * th * degrees)[None, :]) @ base
-        sq_sum += f.real ** 2 + f.imag ** 2
+    factors = [r_pow * np.exp(1j * th * degrees)[None, :] for th in theta]
+    sq_sum = _angle_sum_sq(factors, base)
     avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
     total = float((avg_sq * kernel).sum())
 

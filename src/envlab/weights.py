@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import islice
@@ -17,6 +18,13 @@ from itertools import islice
 import numpy as np
 
 from .errors import InvalidInputError
+
+
+def _is_number(value) -> bool:
+    """Whether a value read from JSON is a number: booleans and strings
+    are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 def _as_grid(a, name):
     a = np.asarray(a, dtype=float)
@@ -104,6 +112,9 @@ def _check_polygon(poly):
         raise InvalidInputError("slope_polytope must be an (m, 2) vertex array")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("slope_polytope has non-finite vertices")
+    # a repeated vertex would be a zero-length edge; keep its first copy
+    # (as tuples of floats, -0.0 repeats 0.0)
+    p = np.array(list(dict.fromkeys(map(tuple, p.tolist()))))
     if p.shape[0] >= 3:
         # orient counter-clockwise and require convexity
         c = p.mean(axis=0)
@@ -117,8 +128,7 @@ def _check_polygon(poly):
             raise InvalidInputError("slope_polytope vertices are not convex")
         if np.all(cross <= 1e-12):
             # collinear: the lexicographic extremes are the segment's ends
-            ends = p[np.lexsort(p.T[::-1])[[0, -1]]]
-            p = ends[:1] if np.array_equal(ends[0], ends[1]) else ends
+            p = p[np.lexsort(p.T[::-1])[[0, -1]]]
     return p
 
 
@@ -127,8 +137,9 @@ class SampledWeight2D:
     """A sampled weight u(tau, s) on a product grid.
 
     ``slope_polytope`` is the convex polygon of allowed gradient pairs
-    (d/dtau, d/ds), given as a vertex array of shape (m, 2); collinear
-    vertices are stored as their segment's two ends (or one point).
+    (d/dtau, d/ds), given as a vertex array of shape (m, 2); repeated
+    vertices are stored once, and collinear ones as their segment's two
+    ends.
     """
 
     grid_tau: np.ndarray
@@ -196,8 +207,11 @@ def load_weight_csv(path) -> SampledWeight:
     try:
         with open(path + ".json", "r", encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        slopes = float(sidecar["slope_left"]), float(sidecar["slope_right"])
-    except (OSError, KeyError, ValueError, TypeError) as exc:
+        slopes = sidecar["slope_left"], sidecar["slope_right"]
+        if not all(map(_is_number, slopes)):
+            raise TypeError(f"slopes must be numbers, got {list(slopes)}")
+        slopes = [float(v) for v in slopes]
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise InvalidInputError(f"bad slope sidecar for {path}: {exc}") from exc
     return SampledWeight(raw[:, 0], raw[:, 1], *slopes)
 

@@ -93,6 +93,28 @@ def test_bad_tolerance_flag(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1e-9"])
+def test_tolerance_must_be_positive_and_finite(tmp_path, capsys, value):
+    code = main(["family", "--out", str(tmp_path), "--tol", f"family={value}"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not os.listdir(tmp_path)
+
+
+def test_envelope_command_bool_slope_sidecar(tmp_path, capsys):
+    path = tmp_path / "w.csv"
+    save_weight_csv(SampledWeight(np.linspace(-5, 5, 65), np.zeros(65), 0.0, 1.0), path)
+    (tmp_path / "w.csv.json").write_text(
+        json.dumps({"slope_left": False, "slope_right": True}))
+    out = tmp_path / "out"
+    code = main(["envelope", "--input", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad slope sidecar"), err
+    assert os.listdir(out) == []
+
+
 def test_unknown_tolerance_name(tmp_path, capsys):
     code = main(["family", "--out", str(tmp_path), "--tol", "familly=1e-9"])
     assert code == 2

@@ -179,6 +179,19 @@ def test_zero_area_polytope_is_its_segment_or_point(u, poly, ends):
     assert many.slope_polytope.tolist() == ends
 
 
+@pytest.mark.parametrize("poly, stored", [
+    ([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0], [0.0, 0.0]],
+     [[0.0, 0.0], [1.0, 0.0], [1.0, 2.0]]),
+    ([[1.0, 1.0], [0.5, 0.5], [1.0, 1.0]], [[1.0, 1.0], [0.5, 0.5]]),
+    ([[0.0, 1.0], [-0.0, 1.0]], [[0.0, 1.0]]),
+], ids=["cayley-d_L-0", "segment", "signed-zero-point"])
+def test_repeated_polytope_vertices_are_stored_once(poly, stored):
+    # the d_L = 0 Cayley polytope repeats (0, 0); a repeat would be a
+    # zero-length edge of the 2-d envelope's edge loop
+    u = np.cos(_T9S9[0])[:, None] * np.sin(3.0 * _T9S9[1])[None, :]
+    assert SampledWeight2D(*_T9S9, u, poly).slope_polytope.tolist() == stored
+
+
 @pytest.mark.parametrize("poly", [[[1.0, 1.0], [0.5, 0.5]], [[1.0, 1.0]]],
                          ids=["segment-P", "point-P"])
 def test_envelope_2d_out_of_float_range_is_a_typed_error(poly):

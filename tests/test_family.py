@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,43 @@ def test_corrupted_family_fails(fc):
     psi[[10, 60]] = psi[[60, 10]]
     rep = check_monotone_family(FamilyCurve(fc.pair, fc.t_grid, psi))
     assert not rep.passed
+
+
+def _dense_monotone_violation(fc):
+    """The monotonicity violation by the dense formula over stacked rows."""
+    h = fc.psi / (1.0 - fc.t_grid)[:, None]
+    return float(np.maximum(0.0, -np.diff(h, axis=0)).max())
+
+
+def test_streamed_monotone_check_matches_dense_formula(fc):
+    rng = np.random.default_rng(7)
+    swapped = fc.psi.copy()
+    swapped[[10, 60]] = swapped[[60, 10]]
+    # exact ties and signed zeros, where -(a - b) and b - a must agree
+    ties = rng.choice([0.0, -0.0, -0.5, -1.0], size=fc.psi.shape)
+    nan_row, nan_last = fc.psi.copy(), fc.psi.copy()
+    nan_row[40, 17] = np.nan
+    nan_last[-1, 3] = np.nan
+    for psi in (fc.psi, swapped, ties, nan_row, nan_last):
+        curve = FamilyCurve(fc.pair, fc.t_grid, psi)
+        rep = check_monotone_family(curve)
+        dense = _dense_monotone_violation(curve)
+        assert np.float64(rep.max_violation).tobytes() == np.float64(dense).tobytes()
+    # a NaN anywhere, the last row too, fails the check
+    for psi in (nan_row, nan_last):
+        assert not check_monotone_family(FamilyCurve(fc.pair, fc.t_grid, psi)).passed
+
+
+def test_monotone_check_stays_below_one_stacked_array(fc):
+    psi = np.repeat(fc.psi, 4, axis=0)
+    curve = FamilyCurve(fc.pair, monotone_t_grid(psi.shape[0]), psi)
+    tracemalloc.start()
+    try:
+        check_monotone_family(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.nbytes
 
 
 def test_right_continuity(pair, fc):

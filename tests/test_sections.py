@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
                     equilibrium_envelope, psi1_approximant, psi2_approximant,
                     unit_boxes)
 from envlab.measures import base_density
-from envlab.sections import (_fiber_quadrature, _log_norms_squared,
-                             _segment_nodes)
+from envlab.cli import _bump_pair
+from envlab.sections import (PARSEVAL_TOL, _angle_sum_sq, _fiber_quadrature,
+                             _lattice_max, _log_norms_squared, _segment_nodes,
+                             _tail_nodes)
 from conftest import bumpy_model_weight, model_pair, weights_of_degree
 
 
@@ -69,11 +72,66 @@ def test_psi_approximants_are_dense_lattice_maxima(wd, m):
     lattice = np.arange(m * d + 1) / m
     conj = (lattice[:, None] * w.grid[None, :] - w.values[None, :]).max(axis=1)
     norms = _log_norms_squared(w, lattice, m) / m
-    tol = 1e-15 * max(1.0, float(np.abs(w.values).max()))
     for psi, c in ((psi1_approximant(w, d, m), conj),
                    (psi2_approximant(w, d, m), norms)):
         assert (psi.slope_left, psi.slope_right) == (0.0, float(d))
-        assert np.abs(psi.values - _dense_lattice_max(w, lattice, c)).max() <= tol
+        assert psi.values.tobytes() == _dense_lattice_max(w, lattice, c).tobytes()
+
+
+def test_lattice_max_matches_dense_maximum_on_signed_zeros():
+    # 0 * s is -0.0 for s < 0, so rows tie at +-0 and the running maximum
+    # must keep the zero the dense reduction keeps
+    rng = np.random.default_rng(3)
+    w = SampledWeight(np.linspace(-2.0, 2.0, 9), np.zeros(9), 0.0, 1.0)
+    for _ in range(200):
+        size = int(rng.integers(1, 12))
+        lattice = np.sort(rng.choice([0.0, -0.0, 0.5, 1.0], size=size))
+        c = rng.choice([0.0, -0.0, 1.0, -1.0], size=size)
+        assert (_lattice_max(w, lattice, c).values.tobytes()
+                == _dense_lattice_max(w, lattice, c).tobytes())
+
+
+def test_lattice_max_stays_below_one_stacked_array(bumpy):
+    lattice = np.arange(257) / 256.0
+    c = _log_norms_squared(bumpy, lattice, 256) / 256
+    tracemalloc.start()
+    try:
+        _lattice_max(bumpy, lattice, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice.size * bumpy.grid.size * 8
+
+
+def _exp_everywhere_log_norms(w, lattice, m):
+    """log L2^2 monomial norms with exp taken over every node."""
+    nodes_mid, wt_mid = _segment_nodes(w.grid)
+    nodes_lo, wt_lo = _tail_nodes(w.grid[0], -1.0)
+    nodes_hi, wt_hi = _tail_nodes(w.grid[-1], +1.0)
+    nodes = np.concatenate([nodes_lo, nodes_mid, nodes_hi])
+    wt = np.concatenate([wt_lo, wt_mid, wt_hi])
+    log_meas = np.log(np.maximum(base_density(nodes), 1e-300)) + np.log(wt)
+    expo = (m * lattice[:, None] * nodes[None, :] - m * w(nodes)[None, :]
+            + log_meas[None, :])
+    top = expo.max(axis=1)
+    sums = np.exp(expo - top[:, None]).sum(axis=1)
+    return np.array([t + math.log(v) for t, v in zip(top, sums)])
+
+
+def test_exp_is_exactly_zero_below_the_underflow_cut():
+    # the psi2 norms skip exp at or below -746 and write 0.0 there instead
+    sweep = np.concatenate([
+        np.nextafter(-746.0, -np.inf) - np.arange(1000) * 1e-12,
+        np.linspace(-746.0, -800.0, 200_001),
+        -np.logspace(np.log10(800.0), 300.0, 1000), [-np.inf]])
+    assert np.exp(sweep).tobytes() == np.zeros_like(sweep).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 8, 256])
+def test_log_norms_match_exp_everywhere(bumpy, m):
+    lattice = np.arange(m + 1) / m
+    norms = _log_norms_squared(bumpy, lattice, m)
+    assert norms.tobytes() == _exp_everywhere_log_norms(bumpy, lattice, m).tobytes()
 
 
 @pytest.mark.parametrize("approximant", [psi1_approximant, psi2_approximant])
@@ -208,6 +266,31 @@ def test_parseval_phase_invariant_and_quadratic(pair, sec, alpha, beta, lam):
         sec.m, {lk: lam * c for lk, c in sec.coefficients.items()}), pair)
     assert abs(scaled.details["total"] - abs(lam) ** 2 * total) \
         <= 1e-13 * abs(lam) ** 2 * total
+
+
+def _dense_angle_sum_sq(factors, base):
+    """sum over the fiber angles of |factor @ base|^2, all columns at once."""
+    sq_sum = np.zeros((factors[0].shape[0], base.shape[1]))
+    for factor in factors:
+        f = factor @ base
+        sq_sum += f.real ** 2 + f.imag ** 2
+    return sq_sum
+
+
+def test_blocked_parseval_sum_matches_dense_product(monkeypatch):
+    # the CLI battery's 20 seeded sections on its 257-point pair
+    calls = []
+
+    def spy(factors, base):
+        out = _angle_sum_sq(factors, base)
+        calls.append(out.tobytes() == _dense_angle_sum_sq(factors, base).tobytes())
+        return out
+
+    monkeypatch.setattr("envlab.sections._angle_sum_sq", spy)
+    rep = checks.check_coefficient_parseval(
+        np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
+    assert rep.passed
+    assert len(calls) == 20 and all(calls)
 
 
 def _literal_average_oracle(section, pair):

@@ -121,6 +121,24 @@ def test_weight_csv_errors(tmp_path):
         load_weight_csv(tmp_path / "missing.csv")
 
 
+@pytest.mark.parametrize("sidecar", [
+    '{"slope_left": false, "slope_right": true}',
+    '{"slope_left": "0", "slope_right": 1}',
+    '{"slope_left": 0, "slope_right": null}',
+    '{"slope_left": 0, "slope_right": 1' + "0" * 400 + '}',
+    '[0, 1]',
+], ids=["bools", "string", "null", "int-past-float-range", "list"])
+def test_weight_csv_sidecar_slopes_must_be_numbers(tmp_path, sidecar):
+    # the same number rule as the glue-demo config: bools are not numbers
+    path = tmp_path / "w.csv"
+    save_weight_csv(SampledWeight(np.linspace(0.0, 1.0, 5), np.zeros(5), 0, 1), path)
+    (tmp_path / "w.csv.json").write_text(sidecar)
+    with pytest.raises(InvalidInputError, match="bad slope sidecar"):
+        load_weight_csv(path)
+    (tmp_path / "w.csv.json").write_text('{"slope_left": 0, "slope_right": 1}')
+    assert load_weight_csv(path).slope_interval == SlopeInterval(0.0, 1.0)
+
+
 def test_weight2d_csv_layout(tmp_path):
     gt = np.linspace(0, 1, 3)
     gs = np.linspace(0, 1, 2)

@@ -44,6 +44,8 @@ ENV1D = "src/envlab/envelope.py"
 ENV2D = "src/envlab/envelope2d.py"
 T1D = "tests/test_envelope.py"
 T2D = "tests/test_envelope2d.py"
+SECTIONS = "src/envlab/sections.py"
+TSEC = "tests/test_sections.py"
 
 CATALOGUE = [
     # the constrained back transform shared by the 1-d and 2-d envelopes
@@ -114,8 +116,8 @@ CATALOGUE = [
                "in-P plane below the envelope"},
     {"id": "zero-area-ends-by-angle",
      "file": "src/envlab/weights.py",
-     "find": "ends = p[np.lexsort(p.T[::-1])[[0, -1]]]",
-     "replace": "ends = p[[0, -1]]",
+     "find": "p = p[np.lexsort(p.T[::-1])[[0, -1]]]",
+     "replace": "p = p[[0, -1]]",
      "tests": [f"{T2D}::test_zero_area_polytope_is_its_segment_or_point"],
      "expect": "killed",
      "reason": "the first and last vertex by angle need not be the "
@@ -146,6 +148,38 @@ CATALOGUE = [
      "tests": [f"{T2D}::test_envelope_2d_out_of_float_range_is_a_typed_error"],
      "expect": "killed",
      "reason": "overflow warnings reach the caller before the typed error"},
+    # the streamed row reductions of the family and section checks
+    {"id": "monotone-stream-skips-last-row",
+     "file": "src/envlab/family.py",
+     "find": "zip(fc.psi[1:], scale[1:])",
+     "replace": "zip(fc.psi[1:-1], scale[1:-1])",
+     "tests": ["tests/test_family.py::"
+               "test_streamed_monotone_check_matches_dense_formula"],
+     "expect": "killed",
+     "reason": "a drop into the last t row goes unseen"},
+    {"id": "lattice-max-drops-first-row",
+     "file": SECTIONS,
+     "find": "vals = lattice[0] * w.grid - c[0]",
+     "replace": "vals = np.full(w.grid.shape, -np.inf)",
+     "tests": [f"{TSEC}::test_lattice_max_matches_dense_maximum_on_signed_zeros",
+               f"{TSEC}::test_psi_approximants_are_dense_lattice_maxima"],
+     "expect": "killed",
+     "reason": "the k = 0 monomial is the maximiser far to the left"},
+    {"id": "parseval-block-narrower-than-stride",
+     "file": SECTIONS,
+     "find": "block = slice(j, j + _PARSEVAL_BLOCK)",
+     "replace": "block = slice(j, j + _PARSEVAL_BLOCK - 1)",
+     "tests": [f"{TSEC}::test_blocked_parseval_sum_matches_dense_product"],
+     "expect": "killed",
+     "reason": "the last column of every block never enters the total"},
+    {"id": "exp-mask-keeps-skipped-entries",
+     "file": SECTIONS,
+     "find": "        expo[~keep] = 0.0\n",
+     "replace": "",
+     "tests": [f"{TSEC}::test_log_norms_match_exp_everywhere"],
+     "expect": "killed",
+     "reason": "the skipped entries keep their exponents, so the sum is "
+               "not the sum of exp"},
     # the registry's default tolerances
     {"id": "registry-tolerance-missing",
      "file": "src/envlab/checks.py",
@@ -156,18 +190,18 @@ CATALOGUE = [
      "reason": "the registry and the report disagree on the tolerance"},
     # known equivalent mutants
     {"id": "parseval-conjugate-fiber-factor",
-     "file": "src/envlab/sections.py",
+     "file": SECTIONS,
      "find": "np.exp(1j * k * phi)",
      "replace": "np.exp(-1j * k * phi)",
-     "tests": ["tests/test_sections.py", "tests/test_acceptance.py::test_coefficient_parseval"],
+     "tests": [TSEC, "tests/test_acceptance.py::test_coefficient_parseval"],
      "expect": "survive",
      "reason": "the Parseval total depends on |F|^2 averaged over full "
                "periods only, which a conjugated factor leaves unchanged"},
     {"id": "parseval-conjugate-base",
-     "file": "src/envlab/sections.py",
+     "file": SECTIONS,
      "find": "np.exp(1j * th * degrees)",
      "replace": "np.exp(-1j * th * degrees)",
-     "tests": ["tests/test_sections.py", "tests/test_acceptance.py::test_coefficient_parseval"],
+     "tests": [TSEC, "tests/test_acceptance.py::test_coefficient_parseval"],
      "expect": "survive",
      "reason": "as for the fiber factor: the angle averages are exact"},
     {"id": "merged-polytope-clockwise",
