@@ -11,6 +11,7 @@ the library reports both rather than silently picking one.
 """
 
 import numpy as np
+from scipy.integrate import quad
 
 from envlab import (
     STATED_NORMALIZATION,
@@ -43,7 +44,11 @@ def main() -> None:
         print(f"  t = {t:5.3f}  {rep.status}  max violation {rep.max_violation:.3e}")
 
     print("\nnormalization constant in the moment identity:")
-    k_quad = oracle_normalization(use_quadrature=True)
+    # K = Gamma(1) Gamma(2) / I(0), with I(0) at a = b = 1 by quadrature
+    unit = FiberMeasure(1.0, 1.0)
+    i0 = quad(lambda r: unit.density(r) / (r * r + 1.0), 0.0, np.inf,
+              epsabs=1e-12, epsrel=1e-12)[0]
+    k_quad = gamma(1.0) * gamma(2.0) / i0
     print(f"  closed-form oracle : {oracle_normalization():.12g}")
     print(f"  quadrature oracle  : {k_quad:.12g}")
     print(f"  stated value       : {STATED_NORMALIZATION:.12g}")

@@ -26,15 +26,15 @@ import numpy as np
 from . import checks
 from .checks import CHECKS, TOLERANCE_NAMES
 from .envelope import equilibrium_envelope
-from .errors import EnvlabError, InvalidInputError
+from .errors import EnvlabError, InvalidInputError, NoEnvelopeError
 from .family import (ModelBundlePair, check_monotone_family,
                      check_right_continuity, family_curve, monotone_t_grid)
 from .gluing import hirzebruch_demo
 from .report import VerificationReport
 from .sections import (check_sandwich, comparison_constants, psi1_approximant,
                        unit_boxes)
-from .weights import (SampledWeight, SampledWeight2D, _write_blocks,
-                      load_weight_csv, save_weight2d_csv, save_weight_csv)
+from .weights import (SampledWeight, SampledWeight2D, load_weight_csv,
+                      save_weight2d_csv, save_weight_csv)
 
 __all__ = ["main", "run", "RunManifest", "export_plot_data",
            "export_report", "export_weight2d_artifacts"]
@@ -89,8 +89,11 @@ def export_plot_data(w, path, envelope=None) -> str:
     """Write gnuplot-ready columns.
 
     1D weights: rows ``s u u_e psi`` (the envelope computed from the slope
-    metadata when not supplied, the approximant always).  2D weights:
-    ``tau s phi`` rows in blank-line separated blocks, one block per tau.
+    metadata when not supplied), with psi the m = 64 approximant of degree
+    d = round(slope_right), or the envelope when d = 0; when no slope k/64
+    lies in the weight's slope interval there is no approximant, and the
+    rows are ``s u u_e``.  2D weights: ``tau s phi`` rows in blank-line
+    separated blocks, one block per tau.
     """
     path = str(path)
     if isinstance(w, SampledWeight2D):
@@ -102,18 +105,24 @@ def export_plot_data(w, path, envelope=None) -> str:
                 fh.write("".join(f"{head}{s} {v:.17g}\n"
                                  for s, v in zip(s_text, row.tolist())) + "\n")
         return path
-    # both columns are computed before the file opens, so a failure leaves
+    # every column is computed before the file opens, so a failure leaves
     # no partial file behind
     if envelope is None:
         envelope = equilibrium_envelope(w, w.slope_interval)
     d = max(int(round(w.slope_right)), 0)
-    psi = psi1_approximant(w, d, 64) if d > 0 else envelope
+    try:
+        psi = psi1_approximant(w, d, 64) if d > 0 else envelope
+    except NoEnvelopeError:
+        psi = None  # no slope k/64 in the interval, so no psi column
+    rows = zip(w.grid.tolist(), w.values.tolist(), envelope.values.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# s u u_e psi\n")
-        rows = zip(w.grid.tolist(), w.values.tolist(),
-                   envelope.values.tolist(), psi.values.tolist())
-        _write_blocks(fh, (f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
-                           for s, u, ue, p in rows))
+        if psi is None:
+            fh.write("# s u u_e\n")
+            fh.writelines(f"{s:.17g} {u:.17g} {ue:.17g}\n" for s, u, ue in rows)
+        else:
+            fh.write("# s u u_e psi\n")
+            fh.writelines(f"{s:.17g} {u:.17g} {ue:.17g} {p:.17g}\n"
+                          for (s, u, ue), p in zip(rows, psi.values.tolist()))
     return path
 
 

@@ -85,8 +85,9 @@ def _scalar_density(m: FiberMeasure):
     return density
 
 
-def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
-    """Adaptive quadrature over (0, inf) via the substitution r = tan(pi theta / 2)."""
+def _integrate_halfline(f):
+    """Adaptive quadrature over (0, inf) via the substitution r = tan(pi theta / 2),
+    to 1e-12 absolute and relative error."""
     from scipy.integrate import quad
 
     def g(theta):
@@ -96,7 +97,7 @@ def _integrate_halfline(f, epsabs=1e-12, epsrel=1e-12):
         r = math.tan(math.pi * theta / 2.0)
         return f(r) * (math.pi / 2.0) / (c * c)
 
-    value, err = quad(g, 0.0, 1.0, epsabs=epsabs, epsrel=epsrel, limit=200)
+    value, err = quad(g, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     return value, err
 
 
@@ -118,23 +119,14 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def oracle_normalization(use_quadrature: bool = False) -> float:
+def oracle_normalization() -> float:
     """Normalization constant K pinned by the t = 0 moment at a = b = 1.
 
     The contract -log I(0) = -log(Gamma(1) Gamma(2) / K) gives
     K = Gamma(1) Gamma(2) / I(0), and I(0) = 1/2 from the antiderivative
-    -(r^2 + 1)^{-2} / 2.  With ``use_quadrature`` the moment is re-derived
-    numerically instead of using the closed form.
+    -(r^2 + 1)^{-2} / 2; the tests re-derive I(0) by quadrature.
     """
-    if use_quadrature:
-        density = _scalar_density(FiberMeasure(1.0, 1.0))
-        i0, err = _integrate_halfline(lambda r: density(r) / (r * r + 1.0))
-        if err > 1e-10:
-            raise PrecisionError("normalization quadrature did not converge",
-                                 estimate=i0)
-    else:
-        i0 = 0.5
-    return gamma(1.0) * gamma(2.0) / i0
+    return gamma(1.0) * gamma(2.0) / 0.5
 
 
 def bergman_fiber_integral(m: FiberMeasure, t: float) -> float:

@@ -189,8 +189,9 @@ def glue_weights(outer: SampledWeight2D, inner: SampledWeight2D,
                                             inner.slope_polytope))
 
 
-def _bump(s, center=1.0, height=0.75, width=1.0):
-    return height * np.exp(-((s - center) / width) ** 2 / 2.0)
+def _bump(s):
+    """The glue demo's Gaussian bump on phi_L: height 0.75 at s = 1, width 1."""
+    return 0.75 * np.exp(-(s - 1.0) ** 2 / 2.0)
 
 
 #: the glue demo's config; a caller's config overrides any of these keys
@@ -201,17 +202,18 @@ GLUING_TOL = 1e-9
 
 def _config_number(config, key, kind):
     """``config[key]`` as ``kind`` (int or float), or a typed config error.
-    Booleans and strings are not numbers, and an int key takes integral
-    values only."""
+    Booleans and strings are not numbers, nor are NaN, the infinities and
+    integers beyond the float range, and an int key takes integral values
+    only."""
     value = config[key]
-    not_a_number = InvalidParameterError(
-        f"config {key} must be a finite number, got {value!r}")
-    if not _is_number(value):
-        raise not_a_number
     try:
-        number = kind(value)
-    except (ValueError, OverflowError) as exc:
-        raise not_a_number from exc
+        finite = _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidParameterError(
+            f"config {key} must be a finite number, got {value!r}")
+    number = kind(value)
     if kind is int and number != value:
         raise InvalidParameterError(f"config {key} must be an integer, got {value!r}")
     return number

@@ -28,10 +28,13 @@ each component mass is bounded by the total.  Both sides are integrated
 numerically, the total through literal angle averaging: F itself is
 evaluated on an equispaced (theta, phi) angle grid, as complex products
 of the fiber factors r^l e^{il theta} of each angle theta against the base
-factors of one block of (phi, s) columns at a time, and |F|^2 is averaged
-from those values, so the total never shares the coefficient algebra of
-the component side.  |F|^2 only carries angle frequencies |l - l'| <= m and
-|k - k'| <= k_max, so m + 1 and k_max + 1 angles average it exactly.
+factors of one angle phi, one block of s columns at a time, and |F|^2 is
+averaged from those values, so the total never shares the coefficient
+algebra of the component side.  |F|^2 only carries angle frequencies
+|l - l'| <= m and |k - k'| <= k_max, so m + 1 and k_max + 1 angles average
+it exactly.  The s nodes and the weight kernel depend on the pair and m
+only; the last (pair, m) built is kept, so a battery of sections on one
+pair builds them once.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ PARSEVAL_TOL = 1e-8
 # exp(-744.4)); tests/test_sections.py checks this on the running numpy
 _EXP_UNDERFLOW = -746.0
 
-# (phi, s) columns per block of the Parseval product: 96 r-nodes x 64
-# complex columns is 96 KiB, so every per-block temporary stays below
-# glibc's default 128 KiB mmap threshold and in cache
+# s columns per block of the Parseval product: 96 r-nodes x 64 complex
+# columns is 96 KiB, so every per-block temporary stays below glibc's
+# default 128 KiB mmap threshold and in cache
 _PARSEVAL_BLOCK = 64
 
 
@@ -277,10 +280,40 @@ def _fiber_quadrature():
     return r, w
 
 
+# the (pair, m) whose Parseval s nodes and kernel were built last, with
+# them; holding the pair keeps its id from being reused while cached
+_kernel_slot: dict = {}
+
+
+def _parseval_kernel(pair, m):
+    """Read-only s nodes and (r, s) weight kernel e^{-m phi_inf} dV of
+    ``pair`` at power m, fiber density included; built once per (pair, m),
+    and only the last one built is kept."""
+    key = (id(pair), m)
+    if key not in _kernel_slot:
+        _kernel_slot.clear()
+        s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
+        meas = base_density(s_nodes) * s_wt
+        a = np.exp(pair.phi_A(s_nodes))
+        b = np.exp(pair.phi_L(s_nodes))
+        r, r_wt = _fiber_quadrature()
+        # (r^2 a + b)^{-(m+2)} 2 r a b, then the quadrature weights
+        kernel = r[:, None] ** 2 * a[None, :]
+        kernel += b[None, :]
+        kernel **= -(m + 2.0)
+        kernel *= 2.0 * r[:, None] * a[None, :] * b[None, :]
+        kernel *= r_wt[:, None] * meas[None, :]
+        s_nodes.setflags(write=False)
+        kernel.setflags(write=False)
+        _kernel_slot[key] = (pair, s_nodes, kernel)
+    return _kernel_slot[key][1:]
+
+
 def _angle_sum_sq(factors, base):
-    """sum over the fiber angles of |factor @ base|^2, elementwise, taken
-    over one block of ``_PARSEVAL_BLOCK`` columns at a time; each element
-    adds its angles in the same order as a product over all columns."""
+    """sum over the fiber angles of |factor @ base|^2 at one angle phi,
+    elementwise, taken over one block of ``_PARSEVAL_BLOCK`` s columns at a
+    time; each element adds its angles in the same order as a product over
+    all columns."""
     sq_sum = np.zeros((factors[0].shape[0], base.shape[1]))
     for j in range(0, base.shape[1], _PARSEVAL_BLOCK):
         block = slice(j, j + _PARSEVAL_BLOCK)
@@ -300,56 +333,57 @@ def coefficient_inequality(section: ToricSection,
     the coefficient formula after circle averaging, the total averages
     |F|^2 over both angles by trapezoid (exact for polynomial sections)
     on the same radial/base nodes, with F evaluated at every angle node.
-    The grid has m + 1 angles theta and k_max + 1 angles phi, the fewest
-    that integrate |F|^2 exactly: its angle frequencies are differences
-    l - l' and k - k' of at most m and k_max.  At each theta, F is the
-    complex product of r^l e^{il theta} on the r rows against
-    sum_k c_lk e^{ks/2} e^{ik phi} on the (phi, s) columns, taken one block
-    of columns at a time with the fiber factors built once per angle, and
-    |F|^2 is accumulated over theta.  Verifies every component <= total
-    and that the components sum to the total.
+    The nodes and the weight kernel are built once per (pair, m) and
+    reused by every section on it.  The grid has m + 1 angles theta and
+    k_max + 1 angles phi, the fewest that integrate |F|^2 exactly: its
+    angle frequencies are differences l - l' and k - k' of at most m and
+    k_max.  At each phi, F is the complex product of r^l e^{il theta} on
+    the r rows against sum_k c_lk e^{ks/2} e^{ik phi} on the s columns,
+    taken one block of columns at a time with the fiber factors built once
+    per theta; |F|^2 is summed over theta, and that sum is added into one
+    (r, s) accumulator, one phi at a time.  Verifies every component <=
+    total and that the components sum to the total.
     """
     m = section.m
-    s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
-    meas = base_density(s_nodes) * s_wt
-    a = np.exp(pair.phi_A(s_nodes))
-    b = np.exp(pair.phi_L(s_nodes))
-    r, r_wt = _fiber_quadrature()
-    # weight kernel on the (r, s) nodes, including the fiber density
-    core = (r[:, None] ** 2 * a[None, :] + b[None, :])
-    kernel = core ** (-(m + 2.0)) * (2.0 * r[:, None] * a[None, :] * b[None, :])
-    kernel *= r_wt[:, None] * meas[None, :]
+    s_nodes, kernel = _parseval_kernel(pair, m)
+    r = _fiber_quadrature()[0]
+    n_r, n_s = r.size, s_nodes.size
 
     by_l: dict[int, dict[int, complex]] = {}
     for (l, k), c in section.coefficients.items():
         by_l.setdefault(l, {})[k] = c
 
+    # every (r, s) product below is formed in this one buffer
+    buf = np.empty((n_r, n_s))
     terms = {}
     for l, coeffs in sorted(by_l.items()):
-        avg = np.zeros(s_nodes.size)
+        avg = np.zeros(n_s)
         for k, c in coeffs.items():
             avg += abs(c) ** 2 * np.exp(k * s_nodes)
-        terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
+        np.multiply(r[:, None] ** (2 * l), avg[None, :], out=buf)
+        buf *= kernel
+        terms[l] = float(buf.sum())
 
     # literal double-angle average of |F|^2 on the same nodes, exact grid
     k_max = max(k for (_, k) in section.coefficients)
     n_theta, n_phi = m + 1, k_max + 1
-    n_r, n_s = r.size, s_nodes.size
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     degrees = np.array(sorted(by_l))
-    # base[l, phi, s] = sum_k c_lk e^{ks/2} e^{ik phi}, flattened phi-major
+    # base[l, phi, s] = sum_k c_lk e^{ks/2} e^{ik phi}
     base = np.zeros((degrees.size, n_phi, n_s), dtype=complex)
     for i, l in enumerate(degrees.tolist()):
         for k, c in by_l[l].items():
             base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
-    base = base.reshape(degrees.size, n_phi * n_s)
-    # F at one fiber angle: (r^l e^{il theta})[r, l] @ base[l, (phi, s)]
+    # F at one angle pair: (r^l e^{il theta})[r, l] @ base[l, phi, s]
     r_pow = r[:, None] ** degrees[None, :]
     factors = [r_pow * np.exp(1j * th * degrees)[None, :] for th in theta]
-    sq_sum = _angle_sum_sq(factors, base)
-    avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
-    total = float((avg_sq * kernel).sum())
+    buf.fill(0.0)
+    for j in range(n_phi):
+        buf += _angle_sum_sq(factors, base[:, j])
+    buf /= n_theta * n_phi
+    buf *= kernel
+    total = float(buf.sum())
 
     scale = max(total, 1e-300)
     term_violation = max((v - total) / scale for v in terms.values())

@@ -13,7 +13,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -170,22 +169,12 @@ class SampledWeight2D:
 # ---------------------------------------------------------------------------
 # CSV interchange: header `s,u`, slopes in a JSON sidecar `<path>.json`.
 
-_BLOCK_LINES = 4096
-
-
-def _write_blocks(fh, lines) -> None:
-    """Write text lines joined into blocks of at most ``_BLOCK_LINES``."""
-    lines = iter(lines)
-    while block := "".join(islice(lines, _BLOCK_LINES)):
-        fh.write(block)
-
-
 def save_weight_csv(w: SampledWeight, path) -> None:
     path = str(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("s,u\n")
-        _write_blocks(fh, (f"{s!r},{u!r}\n"
-                           for s, u in zip(w.grid.tolist(), w.values.tolist())))
+        fh.writelines(f"{s!r},{u!r}\n"
+                      for s, u in zip(w.grid.tolist(), w.values.tolist()))
     sidecar = {"slope_left": w.slope_left, "slope_right": w.slope_right}
     with open(path + ".json", "w", encoding="utf-8", newline="\n") as fh:
         json.dump(sidecar, fh, indent=2)

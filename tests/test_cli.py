@@ -1,16 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from envlab import (FiberMeasure, SampledWeight, SampledWeight2D,
                     holder_fiber_chain, save_weight_csv)
-from envlab.checks import CHECKS
+from envlab.checks import CHECKS, TOLERANCE_NAMES
 from envlab import cli
 from envlab.cli import RunManifest, export_plot_data, export_report, main, run
 from envlab.report import VerificationReport
@@ -72,7 +77,8 @@ def test_envelope_command_empty_input(tmp_path):
 
 
 def test_envelope_command_empty_slope_lattice(tmp_path):
-    # no k/64 lies in [0.501, 0.51], so the psi column has no approximant
+    # no k/64 lies in [0.501, 0.51]: the envelope exists, the psi column
+    # has no approximant and is left out
     s = np.linspace(-10, 10, 257)
     path = tmp_path / "narrow.csv"
     save_weight_csv(SampledWeight(s, 0.505 * s + np.sin(s), 0.501, 0.51), path)
@@ -82,10 +88,16 @@ def test_envelope_command_empty_slope_lattice(tmp_path):
          "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
         text=True, timeout=60)
-    assert done.returncode == 2
-    err = done.stderr.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: "), err
-    assert os.listdir(out) == []
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads((out / "envelope-run.json").read_text())
+    assert report["check"] == "envelope-run" and report["status"] == "pass"
+    text = (out / "envelope.dat").read_text()
+    assert text.startswith("# s u u_e\n")
+    cols = np.loadtxt(out / "envelope.dat", ndmin=2)
+    assert cols.shape == (s.size, 3)
+    env = np.loadtxt(out / "envelope.csv", delimiter=",", skiprows=1)
+    assert cols[:, 2].tobytes() == env[:, 1].tobytes()
 
 
 def test_bad_tolerance_flag(tmp_path):
@@ -368,3 +380,108 @@ def test_glue_demo_bad_config(tmp_path, capsys, config, stage, message):
         assert f"stage '{stage}'" in err
     assert "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+# ---------------------------------------------------------------------------
+# The exit-status contract of main() on generated inputs.
+
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(),
+    st.just(10 ** 400), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _weight_csvs(draw):
+    """Weight CSV text: empty, one row, non-numeric, non-increasing or valid."""
+    kind = draw(st.sampled_from(
+        ["empty", "one-row", "non-numeric", "non-increasing", "valid"]))
+    if kind == "empty":
+        return draw(st.sampled_from(["", "s,u\n"]))
+    n = 1 if kind == "one-row" else draw(st.integers(2, 24))
+    s = draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n))
+    s = sorted(s, reverse=kind == "non-increasing")
+    if kind == "valid":
+        s = [x + i for i, x in enumerate(sorted(s))]
+    u = draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))
+    rows = [f"{a!r},{b!r}" for a, b in zip(s, u)]
+    if kind == "non-increasing":
+        rows.append(rows[-1])
+    if kind == "non-numeric":
+        rows[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            ["x,1.0", "1.0,", "1.0;2.0", "nan,inf", "0x1,2"]))
+    return "s,u\n" + "".join(row + "\n" for row in rows)
+
+
+@st.composite
+def _sidecars(draw):
+    """Sidecar JSON text: a scalar, an object missing a key, or both keys
+    holding scalars (numbers included); None leaves the sidecar out."""
+    kind = draw(st.sampled_from(["absent", "scalar", "missing-key", "object"]))
+    if kind == "absent":
+        return None
+    if kind == "scalar":
+        return json.dumps(draw(_JSON_SCALARS))
+    value = st.one_of(_JSON_SCALARS, st.floats(-3.0, 3.0))
+    keys = ["slope_left", "slope_right"]
+    if kind == "missing-key":
+        keys = [draw(st.sampled_from(keys))]
+    return json.dumps({k: draw(value) for k in keys})
+
+
+@st.composite
+def _glue_configs(draw):
+    """Glue-demo configs: known and unknown keys with bool, str, float and
+    int values; grid is always set and at most 48."""
+    keys = st.sampled_from(["k", "d_A", "d_L", "epsilon", "grdi", "eps"])
+    config = draw(st.dictionaries(keys, _JSON_SCALARS, max_size=4))
+    config["grid"] = draw(st.one_of(
+        st.integers(-2, 48), st.floats(max_value=48.0), st.booleans(),
+        st.text(max_size=3), st.none()))
+    return config
+
+
+_BAD_TOL_VALUES = ["inf", "-inf", "nan", "0", "-0.0", "-1e-9", "-3", "abc"]
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv template, files): "{d}" in argv stands for the case directory."""
+    command = draw(st.sampled_from(["envelope", "glue-demo"]))
+    files = {}
+    if command == "envelope":
+        argv = ["envelope", "--input", "{d}/w.csv"]
+        files["w.csv"] = draw(_weight_csvs())
+        sidecar = draw(_sidecars())
+        if sidecar is not None:
+            files["w.csv.json"] = sidecar
+    else:
+        argv = ["glue-demo", "--config", "{d}/cfg.json"]
+        files["cfg.json"] = json.dumps(draw(_glue_configs()))
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(list(TOLERANCE_NAMES) + ["bogus", ""]))
+        value = draw(st.sampled_from(
+            _BAD_TOL_VALUES if name in TOLERANCE_NAMES
+            else _BAD_TOL_VALUES + ["1e-9"]))
+        argv += ["--tol", f"{name}={value}"]
+    return argv + ["--out", "{d}/out"], files
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cli_cases())
+@example(case=(["glue-demo", "--config", "{d}/cfg.json", "--out", "{d}/out"],
+               {"cfg.json": json.dumps({"k": 10 ** 400, "grid": 8})}))
+def test_main_exit_status_contract(case):
+    argv, files = case
+    with tempfile.TemporaryDirectory() as d:
+        for name, text in files.items():
+            Path(d, name).write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main([a.replace("{d}", d) for a in argv])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert not any(line.startswith("error:") for line in lines), lines

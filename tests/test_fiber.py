@@ -36,10 +36,13 @@ def test_gamma_against_scipy():
 
 
 def test_oracle_normalization_routes_agree():
+    # the closed form against I(0) at a = b = 1 re-derived by quadrature
     closed = oracle_normalization()
-    quad = oracle_normalization(use_quadrature=True)
+    density = _scalar_density(FiberMeasure(1.0, 1.0))
+    i0, err = _integrate_halfline(lambda r: density(r) / (r * r + 1.0))
+    assert err <= 1e-10
     assert closed == pytest.approx(2.0, abs=1e-14)
-    assert quad == pytest.approx(closed, rel=1e-10)
+    assert gamma(1.0) * gamma(2.0) / i0 == pytest.approx(closed, rel=1e-10)
 
 
 def test_stated_constant_disagrees_with_oracle():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -278,28 +279,32 @@ def _dense_angle_sum_sq(factors, base):
 
 
 def test_blocked_parseval_sum_matches_dense_product(monkeypatch):
-    # the CLI battery's 20 seeded sections on its 257-point pair
-    calls = []
+    # the CLI battery's 20 seeded sections on its 257-point pair, one call
+    # per angle phi of each
+    calls, angles = [], []
 
     def spy(factors, base):
         out = _angle_sum_sq(factors, base)
         calls.append(out.tobytes() == _dense_angle_sum_sq(factors, base).tobytes())
         return out
 
+    def counted(section, pair):
+        rep = coefficient_inequality(section, pair)
+        angles.append(rep.grid["angles"][1])
+        return rep
+
     monkeypatch.setattr("envlab.sections._angle_sum_sq", spy)
+    monkeypatch.setattr(checks, "coefficient_inequality", counted)
     rep = checks.check_coefficient_parseval(
         np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
     assert rep.passed
-    assert len(calls) == 20 and all(calls)
+    assert len(angles) == 20 and len(calls) == sum(angles) and all(calls)
 
 
-def _literal_average_oracle(section, pair):
-    """Terms and total by the plain theta/l broadcast loop over the angle grid.
-
-    Same nodes and kernel as ``coefficient_inequality``, but the denser
-    (2m + 3) x (2k_max + 3) angle grid; the total averages np.abs(F)**2
-    over phi, then over theta, one fiber degree at a time.
-    """
+def _fresh_kernel_and_terms(section, pair):
+    """s nodes, r nodes, a kernel built for this call, the coefficients by
+    fiber degree and the component terms, by the formulas of
+    ``coefficient_inequality`` with plain temporaries."""
     m = section.m
     s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
     meas = base_density(s_nodes) * s_wt
@@ -318,6 +323,101 @@ def _literal_average_oracle(section, pair):
         for k, c in coeffs.items():
             avg += abs(c) ** 2 * np.exp(k * s_nodes)
         terms[l] = float((r[:, None] ** (2 * l) * avg[None, :] * kernel).sum())
+    return s_nodes, r, kernel, by_l, terms
+
+
+def _stacked_parseval_report(section, pair):
+    """The report by a fresh kernel and one (r, phi s) |F|^2 sum.
+
+    Same formulas as ``coefficient_inequality`` term for term, but the
+    kernel is built for this call, F is the product against all (phi, s)
+    columns at once, and the (r, phi s) sum is reshaped and summed over phi.
+    """
+    m = section.m
+    s_nodes, r, kernel, by_l, terms = _fresh_kernel_and_terms(section, pair)
+    k_max = max(k for (_, k) in section.coefficients)
+    n_theta, n_phi = m + 1, k_max + 1
+    n_r, n_s = r.size, s_nodes.size
+    theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    degrees = np.array(sorted(by_l))
+    base = np.zeros((degrees.size, n_phi, n_s), dtype=complex)
+    for i, l in enumerate(degrees.tolist()):
+        for k, c in by_l[l].items():
+            base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
+    base = base.reshape(degrees.size, n_phi * n_s)
+    r_pow = r[:, None] ** degrees[None, :]
+    factors = [r_pow * np.exp(1j * th * degrees)[None, :] for th in theta]
+    sq_sum = _dense_angle_sum_sq(factors, base)
+    avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
+    total = float((avg_sq * kernel).sum())
+    scale = max(total, 1e-300)
+    term_violation = max((v - total) / scale for v in terms.values())
+    parseval = abs(sum(terms.values()) - total) / scale
+    return VerificationReport(
+        check="coefficient-parseval",
+        max_violation=max(term_violation, parseval), tolerance=PARSEVAL_TOL,
+        grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
+              "angles": [n_theta, n_phi],
+              "nodes": n_theta * n_phi * n_r * n_s},
+        details={"total": total,
+                 "terms": {str(l): v for l, v in sorted(terms.items())},
+                 "parseval_mismatch": parseval})
+
+
+def _report_bytes(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+def test_parseval_reports_match_stacked_formula(monkeypatch, pair):
+    # the CLI battery's 20 sections share one kernel on their pair
+    seen = []
+
+    def compared(section, pair):
+        rep = coefficient_inequality(section, pair)
+        seen.append(_report_bytes(rep)
+                    == _report_bytes(_stacked_parseval_report(section, pair)))
+        return rep
+
+    monkeypatch.setattr(checks, "coefficient_inequality", compared)
+    checks.check_coefficient_parseval(
+        np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
+    assert len(seen) == 20 and all(seen)
+    # alternating powers on one pair need a kernel each, and a second pair
+    # at the same power needs its own
+    coeffs = {(0, 2): 1 - 0.5j, (1, 0): 0.25, (3, 1): -2j}
+    for m, p in ((4, pair), (3, pair), (4, pair), (4, _bump_pair(257))):
+        sec = ToricSection(m, coeffs)
+        assert (_report_bytes(coefficient_inequality(sec, p))
+                == _report_bytes(_stacked_parseval_report(sec, p)))
+
+
+def test_warm_parseval_call_stays_below_one_stacked_buffer():
+    # five angles phi: the stacked (r, phi s) |F|^2 sum alone is five (r, s)
+    # float arrays; the kernel is built by the first call
+    pair = _bump_pair(257)
+    sec = ToricSection(4, {(l, k): complex(l + 1, k) for l in range(5)
+                           for k in range(5)})
+    coefficient_inequality(sec, pair)
+    tracemalloc.start()
+    try:
+        coefficient_inequality(sec, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n_r, n_s = _fiber_quadrature()[0].size, 2 * (pair.grid.size - 1)
+    assert peak < n_r * 5 * n_s * 8
+
+
+def _literal_average_oracle(section, pair):
+    """Terms and total by the plain theta/l broadcast loop over the angle grid.
+
+    Same nodes and kernel as ``coefficient_inequality``, but the denser
+    (2m + 3) x (2k_max + 3) angle grid; the total averages np.abs(F)**2
+    over phi, then over theta, one fiber degree at a time.
+    """
+    m = section.m
+    s_nodes, r, kernel, by_l, terms = _fresh_kernel_and_terms(section, pair)
     k_max = max(k for (_, k) in section.coefficients)
     n_theta, n_phi = 2 * m + 3, 2 * k_max + 3
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta

@@ -172,6 +172,21 @@ CATALOGUE = [
      "tests": [f"{TSEC}::test_blocked_parseval_sum_matches_dense_product"],
      "expect": "killed",
      "reason": "the last column of every block never enters the total"},
+    {"id": "parseval-kernel-key-ignores-m",
+     "file": SECTIONS,
+     "find": "key = (id(pair), m)",
+     "replace": "key = id(pair)",
+     "tests": [f"{TSEC}::test_parseval_reports_match_stacked_formula"],
+     "expect": "killed",
+     "reason": "a second power on the same pair reuses the first power's "
+               "kernel"},
+    {"id": "parseval-phi-loop-skips-last-angle",
+     "file": SECTIONS,
+     "find": "for j in range(n_phi):",
+     "replace": "for j in range(n_phi - 1):",
+     "tests": [f"{TSEC}::test_parseval_reports_match_stacked_formula"],
+     "expect": "killed",
+     "reason": "the last angle phi never enters the total"},
     {"id": "exp-mask-keeps-skipped-entries",
      "file": SECTIONS,
      "find": "        expo[~keep] = 0.0\n",
@@ -180,6 +195,16 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "the skipped entries keep their exponents, so the sum is "
                "not the sum of exp"},
+    # the envelope command's plot file
+    {"id": "psi-column-guard-inverted",
+     "file": "src/envlab/cli.py",
+     "find": "if psi is None:",
+     "replace": "if psi is not None:",
+     "tests": ["tests/test_cli.py::test_envelope_command_empty_slope_lattice",
+               "tests/test_cli.py::test_plot_data_1d_roundtrip"],
+     "expect": "killed",
+     "reason": "the psi column is written exactly when there is no "
+               "approximant"},
     # the registry's default tolerances
     {"id": "registry-tolerance-missing",
      "file": "src/envlab/checks.py",
@@ -188,22 +213,27 @@ CATALOGUE = [
      "tests": ["tests/test_cli.py::test_anchor_registry_covers_emitted_checks"],
      "expect": "killed",
      "reason": "the registry and the report disagree on the tolerance"},
-    # known equivalent mutants
+    # mutants the Parseval check cannot see: its total depends on |F|^2
+    # averaged over full periods only, which a conjugated factor leaves
+    # unchanged; only the byte-for-byte comparison with the stacked formula
+    # sees the conjugated product round differently
     {"id": "parseval-conjugate-fiber-factor",
      "file": SECTIONS,
      "find": "np.exp(1j * k * phi)",
      "replace": "np.exp(-1j * k * phi)",
      "tests": [TSEC, "tests/test_acceptance.py::test_coefficient_parseval"],
-     "expect": "survive",
-     "reason": "the Parseval total depends on |F|^2 averaged over full "
-               "periods only, which a conjugated factor leaves unchanged"},
+     "expect": "killed",
+     "reason": "the total rounds differently, though it is the same "
+               "integral"},
     {"id": "parseval-conjugate-base",
      "file": SECTIONS,
      "find": "np.exp(1j * th * degrees)",
      "replace": "np.exp(-1j * th * degrees)",
      "tests": [TSEC, "tests/test_acceptance.py::test_coefficient_parseval"],
-     "expect": "survive",
-     "reason": "as for the fiber factor: the angle averages are exact"},
+     "expect": "killed",
+     "reason": "as for the fiber factor: the same integral, rounded "
+               "differently"},
+    # known equivalent mutants
     {"id": "merged-polytope-clockwise",
      "file": "src/envlab/gluing.py",
      "find": "_turn(out[-2], out[-1], p) <= 0.0",
