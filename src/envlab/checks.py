@@ -101,33 +101,40 @@ def check_envelope_run(w, env, source: str, tol: float) -> VerificationReport:
 
 
 def check_fiber_volume(rng, cases: int, tol: float) -> VerificationReport:
-    """|fiber volume - 1| over ``cases`` random fiber measures."""
-    worst = 0.0
+    """|fiber volume - 1| over ``cases`` random fiber measures, with the
+    worst quadrature error estimate."""
+    worst = worst_err = 0.0
     for _ in range(cases):
         a, b = rng.uniform(0.1, 10.0, size=2)
-        worst = max(worst, abs(fiber.fiber_volume(fiber.FiberMeasure(a, b)) - 1.0))
+        volume = fiber.fiber_volume(fiber.FiberMeasure(a, b))
+        worst = max(worst, abs(volume - 1.0))
+        worst_err = max(worst_err, volume.error)
     return VerificationReport(
         check="fiber-volume", max_violation=worst, tolerance=tol,
-        grid={"cases": cases}, details={"seed": _seed(rng)})
+        grid={"cases": cases},
+        details={"seed": _seed(rng), "max_error_estimate": worst_err})
 
 
 def check_fiber_normalization(rng, cases: int, tol: float) -> VerificationReport:
     """Relative error of the Gamma moment identity at 9 t values per case,
-    with the oracle's K, the stated K and whether the two agree."""
+    with the oracle's K, the stated K, whether the two agree and the worst
+    quadrature error estimate of -log I(t)."""
     k_oracle = fiber.oracle_normalization()
-    worst = 0.0
+    worst = worst_err = 0.0
     for _ in range(cases):
         a, b = rng.uniform(0.1, 10.0, size=2)
         m = fiber.FiberMeasure(a, b)
         for t in np.linspace(0.0, 1.0, 9):
-            lhs = np.exp(-fiber.bergman_fiber_integral(m, float(t))
-                         + t * np.log(a) + (1.0 - t) * np.log(b))
+            moment = fiber.bergman_fiber_integral(m, float(t))
+            lhs = np.exp(-moment + t * np.log(a) + (1.0 - t) * np.log(b))
             rhs = fiber.gamma(1.0 + t) * fiber.gamma(2.0 - t) / k_oracle
             worst = max(worst, abs(lhs - rhs) / rhs)
+            worst_err = max(worst_err, moment.error)
     return VerificationReport(
         check="fiber-normalization", max_violation=worst, tolerance=tol,
         grid={"cases": cases, "t_points": 9},
-        details={"seed": _seed(rng), "K_oracle": k_oracle,
+        details={"seed": _seed(rng), "max_error_estimate": worst_err,
+                 "K_oracle": k_oracle,
                  "K_stated": fiber.STATED_NORMALIZATION,
                  "normalizations_agree": bool(
                      abs(k_oracle - fiber.STATED_NORMALIZATION) < 1e-9)})

@@ -196,6 +196,9 @@ def _bump(s):
 
 #: the glue demo's config; a caller's config overrides any of these keys
 DEMO_CONFIG = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
+#: the largest config grid: the demo holds several (grid, grid) float arrays
+#: at once, and one of them is 32 MB at 2048
+GRID_MAX = 2048
 
 GLUING_TOL = 1e-9
 
@@ -224,7 +227,8 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
 
     ``config`` overrides keys of :data:`DEMO_CONFIG`: k (positive twist of
     the ambient log-norm term), d_A, d_L (divisor degrees), grid (points
-    per axis), epsilon; any other key fails the config stage.
+    per axis, 2 to :data:`GRID_MAX`), epsilon; any other key fails the
+    config stage.
     Returns the verification report and the glued, outer and inner
     weights keyed by those names.
     """
@@ -244,6 +248,8 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
             raise InvalidParameterError(f"twist k must be >= 1, got {k_twist}")
         if n < 2:
             raise InvalidParameterError(f"grid must be >= 2, got {n}")
+        if n > GRID_MAX:
+            raise InvalidParameterError(f"grid must be <= {GRID_MAX}, got {n}")
 
         stage = "pair"
         s_grid = np.linspace(-20.0, 20.0, n)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from envlab import (FiberMeasure, SampledWeight, SampledWeight2D,
                     holder_fiber_chain, save_weight_csv)
 from envlab.checks import CHECKS, TOLERANCE_NAMES
+from envlab.gluing import GRID_MAX
 from envlab import cli
 from envlab.cli import RunManifest, export_plot_data, export_report, main, run
 from envlab.report import VerificationReport
@@ -176,6 +178,25 @@ def test_glue_demo_with_config(tmp_path):
     for name in ("glued", "outer", "inner"):
         assert (tmp_path / f"{name}.csv").exists()
         assert (tmp_path / f"{name}.dat").exists()
+
+
+@pytest.mark.parametrize("grid", [10 ** 30, GRID_MAX + 1])
+def test_glue_demo_grid_past_bound(tmp_path, capsys, grid):
+    # rejected at the config stage, before any grid array is allocated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": grid}))
+    tracemalloc.start()
+    try:
+        code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert f"grid must be <= {GRID_MAX}, got {grid}" in err[0]
+    assert peak < 1 << 20
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_glue_demo_integral_floats(tmp_path):

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 from scipy.special import gamma as scipy_gamma
 
 from envlab import (FiberMeasure, InvalidInputError, InvalidParameterError,
-                    STATED_NORMALIZATION, bergman_fiber_integral, checks,
-                    fiber, fiber_volume, gamma, holder_fiber_chain,
+                    PrecisionError, STATED_NORMALIZATION, bergman_fiber_integral,
+                    checks, fiber, fiber_volume, gamma, holder_fiber_chain,
                     oracle_normalization)
-from envlab.fiber import _integrate_halfline, _scalar_density
+from envlab.fiber import _Quadrature, _integrate_halfline
 
 
 def test_fiber_measure_validation():
@@ -21,7 +21,8 @@ def test_fiber_measure_validation():
 
 def test_fiber_volume_unit_mass(rng, monkeypatch):
     assert checks.check_fiber_volume(rng, 30, 1e-10).passed
-    monkeypatch.setattr(fiber, "fiber_volume", lambda m: 1.0 + 1e-9)
+    monkeypatch.setattr(fiber, "fiber_volume",
+                        lambda m: _Quadrature(1.0 + 1e-9, 0.0))
     assert not checks.check_fiber_volume(rng, 30, 1e-10).passed
 
 
@@ -38,8 +39,8 @@ def test_gamma_against_scipy():
 def test_oracle_normalization_routes_agree():
     # the closed form against I(0) at a = b = 1 re-derived by quadrature
     closed = oracle_normalization()
-    density = _scalar_density(FiberMeasure(1.0, 1.0))
-    i0, err = _integrate_halfline(lambda r: density(r) / (r * r + 1.0))
+    density = FiberMeasure(1.0, 1.0).density
+    i0, err = _integrate_halfline(lambda r: density(r) / (r * r + 1.0), 1.0)
     assert err <= 1e-10
     assert closed == pytest.approx(2.0, abs=1e-14)
     assert gamma(1.0) * gamma(2.0) / i0 == pytest.approx(closed, rel=1e-10)
@@ -53,8 +54,8 @@ def test_stated_constant_disagrees_with_oracle():
 
 def test_gamma_identity_random_parameters(rng, monkeypatch):
     assert checks.check_fiber_normalization(rng, 10, 1e-10).passed
-    monkeypatch.setattr(fiber, "bergman_fiber_integral",
-                        lambda m, t: bergman_fiber_integral(m, t) + 1e-9)
+    monkeypatch.setattr(fiber, "bergman_fiber_integral", lambda m, t: _Quadrature(
+        bergman_fiber_integral(m, t) + 1e-9, 0.0))
     assert not checks.check_fiber_normalization(rng, 10, 1e-10).passed
 
 
@@ -73,37 +74,85 @@ def test_holder_chain(rng):
         assert rep.passed
 
 
-def test_python_float_integrands_match_numpy_density():
-    # test-local integrands that call the vectorized density per node
-    def volume(m):
-        return _integrate_halfline(lambda r: float(m.density(r)))[0]
+def _quadpack(f, r0):
+    """int_0^inf f(r) dr by QUADPACK, split at r0 = sqrt(b / a)."""
+    left = quad(f, 0.0, r0, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return left + quad(f, r0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
+
+def test_exp_sinh_rule_matches_quadpack():
+    # QUADPACK on scalar integrands is the reference for every integral
     def moment(m, t):
-        def integrand(r):
-            return r ** (2.0 * t) / (r * r * m.a + m.b) * float(m.density(r))
-        if t >= 0.25:
-            return -math.log(_integrate_halfline(integrand)[0])
-        r0 = math.sqrt(m.b / m.a)
-        v1 = quad(integrand, 0.0, r0, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
-        v2 = _integrate_halfline(lambda r: integrand(r + r0))[0]
-        return -math.log(v1 + v2)
+        return lambda r: r ** (2.0 * t) / (r * r * m.a + m.b) * m.density(r)
 
     def chain(m, t, p):
         def g(r):
             return r ** (2.0 * t) / (r * r * m.a + m.b)
-        lhs = _integrate_halfline(lambda r: g(r) ** p * float(m.density(r)))[0]
-        mean = _integrate_halfline(lambda r: g(r) * float(m.density(r)))[0]
-        return lhs, mean ** p * volume(m) ** (-(p - 1))
+        r0 = math.sqrt(m.b / m.a)
+        lhs = _quadpack(lambda r: g(r) ** p * m.density(r), r0)
+        mean = _quadpack(lambda r: g(r) * m.density(r), r0)
+        return lhs, mean ** p * _quadpack(m.density, r0) ** (-(p - 1))
 
     rng = np.random.default_rng(4242)
     for _ in range(6):
-        a, b = rng.uniform(0.1, 10.0, size=2)
-        m = FiberMeasure(a, b)
-        density = _scalar_density(m)
-        for r in rng.exponential(3.0, 2000).tolist():
-            assert density(r) == float(m.density(r))
-        assert fiber_volume(m) == volume(m)
+        m = FiberMeasure(*rng.uniform(0.1, 10.0, size=2))
+        r0 = math.sqrt(m.b / m.a)
+        assert fiber_volume(m) == pytest.approx(_quadpack(m.density, r0), rel=1e-12)
         for t in (0.0, 0.125, 0.25, 0.6, 1.0):
-            assert bergman_fiber_integral(m, t) == moment(m, t)
+            assert math.exp(-bergman_fiber_integral(m, t)) == pytest.approx(
+                _quadpack(moment(m, t), r0), rel=1e-12)
         rep = holder_fiber_chain(m, 0.5, 2)
-        assert (rep.details["lhs"], rep.details["rhs"]) == chain(m, 0.5, 2)
+        lhs, rhs = chain(m, 0.5, 2)
+        assert rep.details["lhs"] == pytest.approx(lhs, rel=1e-12)
+        assert rep.details["rhs"] == pytest.approx(rhs, rel=1e-12)
+        assert rep.grid["quadrature"] == "exp-sinh centred at sqrt(b / a)"
+
+
+def test_wide_ratios_match_closed_forms(monkeypatch):
+    # unit mass and I(t) = a^-t b^(t-1) Gamma(1+t) Gamma(2-t) / 2 over
+    # a, b in 10^[-8, 8], the two extreme corners included; centred at
+    # sqrt(b / a), the rule evaluates the density at as many nodes as at
+    # a = b = 1
+    nodes = []
+    density = FiberMeasure.density
+    monkeypatch.setattr(FiberMeasure, "density",
+                        lambda m, r: nodes.append(np.size(r)) or density(m, r))
+    fiber_volume(FiberMeasure(1.0, 1.0))
+    unit_nodes = sum(nodes)
+    rng = np.random.default_rng(808)
+    exponents = [(-8.0, 8.0), (8.0, -8.0), *rng.uniform(-8.0, 8.0, size=(10, 2))]
+    for ea, eb in exponents:
+        a, b = 10.0 ** ea, 10.0 ** eb
+        m = FiberMeasure(a, b)
+        nodes.clear()
+        assert fiber_volume(m) == pytest.approx(1.0, rel=1e-12)
+        assert sum(nodes) == unit_nodes, (a, b)
+        for t in (0.0, 0.3, 0.5, 1.0):
+            closed = a ** -t * b ** (t - 1.0) * gamma(1.0 + t) * gamma(2.0 - t) / 2.0
+            assert math.exp(-bergman_fiber_integral(m, t)) == pytest.approx(
+                closed, rel=1e-12), (a, b, t)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300),
+                                  (1e150, 1e150), (1e-300, 1e-300)])
+def test_out_of_float_range_is_a_precision_error(a, b):
+    # no raw OverflowError, no NaN and no warning: a typed error
+    m = FiberMeasure(a, b)
+    with pytest.raises(PrecisionError):
+        fiber_volume(m)
+    with pytest.raises(PrecisionError):
+        bergman_fiber_integral(m, 0.3)
+    with pytest.raises(PrecisionError):
+        holder_fiber_chain(m, 0.5, 2)
+
+
+def test_error_estimates_are_reported():
+    rng = np.random.default_rng(5)
+    vol = checks.check_fiber_volume(rng, 5, 1e-10).details["max_error_estimate"]
+    norm = checks.check_fiber_normalization(rng, 2, 1e-8).details["max_error_estimate"]
+    assert 0.0 < vol <= 1e-13 and 0.0 < norm <= 1e-12
+    m = FiberMeasure(2.0, 0.5)
+    assert fiber_volume(m).error <= 1e-13
+    errors = holder_fiber_chain(m, 0.5, 2).grid["errors"]
+    assert len(errors) == 3 and max(errors) <= 1e-13

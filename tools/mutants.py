@@ -46,6 +46,8 @@ T1D = "tests/test_envelope.py"
 T2D = "tests/test_envelope2d.py"
 SECTIONS = "src/envlab/sections.py"
 TSEC = "tests/test_sections.py"
+FIBER = "src/envlab/fiber.py"
+TFIB = "tests/test_fiber.py"
 
 CATALOGUE = [
     # the constrained back transform shared by the 1-d and 2-d envelopes
@@ -195,6 +197,30 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "the skipped entries keep their exponents, so the sum is "
                "not the sum of exp"},
+    # the fiber quadratures' exp-sinh rule
+    {"id": "exp-sinh-level-skips-odd-nodes",
+     "file": FIBER,
+     "find": "x = np.arange(h - _X_MAX, _X_MAX, h if k == 0 else 2.0 * h)",
+     "replace": "x = np.arange(2.0 * h - _X_MAX, _X_MAX, h if k == 0 else 2.0 * h)",
+     "tests": [f"{TFIB}::test_exp_sinh_rule_matches_quadpack"],
+     "expect": "killed",
+     "reason": "a level that sums the previous nodes again agrees with "
+               "them at once, so the rule stops at its first step"},
+    {"id": "exp-sinh-centred-at-one",
+     "file": FIBER,
+     "find": "return math.sqrt(m.b / m.a)",
+     "replace": "return 1.0",
+     "tests": [f"{TFIB}::test_wide_ratios_match_closed_forms"],
+     "expect": "killed",
+     "reason": "at wide b/a the density's peak falls between the nodes"},
+    {"id": "exp-sinh-float-range-unguarded",
+     "file": FIBER,
+     "find": 'with np.errstate(all="raise", under="ignore"):',
+     "replace": 'with np.errstate(under="ignore"):',
+     "tests": [f"{TFIB}::test_out_of_float_range_is_a_precision_error"],
+     "expect": "killed",
+     "reason": "an overflowing integrand warns and ends in NaN, not in a "
+               "typed error"},
     # the envelope command's plot file
     {"id": "psi-column-guard-inverted",
      "file": "src/envlab/cli.py",
