@@ -50,7 +50,7 @@ import numpy as np
 
 from .envelope import _back_transform, _finite, _second_difference_defect
 from .errors import InvalidInputError
-from .weights import SampledWeight2D
+from .weights import SampledWeight2D, _edge_turns
 
 __all__ = [
     "equilibrium_envelope_2d",
@@ -88,10 +88,7 @@ def _lower_facet_planes(nodes, uu):
 
 def _in_polygon(pts, poly):
     """Rows of ``pts`` inside the closed CCW polygon ``poly`` (m >= 3)."""
-    d = np.roll(poly, -1, axis=0) - poly
-    rel = pts[:, None, :] - poly[None, :, :]
-    cross = d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
-    return np.all(cross >= 0.0, axis=1)
+    return np.all(_edge_turns(pts, poly) >= 0.0, axis=1)
 
 
 def _edge_back_transform(p, q, nodes, uu):

@@ -27,7 +27,7 @@ from .errors import InvalidInputError, InvalidParameterError
 from .fiber import gamma, oracle_normalization
 from .measures import base_density
 from .report import VerificationReport
-from .weights import SampledWeight, SampledWeight2D
+from .weights import SampledWeight, SampledWeight2D, _is_integer
 
 __all__ = [
     "ModelBundlePair",
@@ -58,7 +58,7 @@ RIGHT_CONTINUITY_TOL = 1e-9
 GAP_BOUND_TOL = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelBundlePair:
     """Weights and degrees of the ample/pseudo-effective model pair."""
 
@@ -68,9 +68,9 @@ class ModelBundlePair:
     d_L: int
 
     def __post_init__(self):
-        if int(self.d_A) != self.d_A or self.d_A < 1:
+        if not _is_integer(self.d_A) or self.d_A < 1:
             raise InvalidInputError(f"d_A must be an integer >= 1, got {self.d_A}")
-        if int(self.d_L) != self.d_L or self.d_L < 0:
+        if not _is_integer(self.d_L) or self.d_L < 0:
             raise InvalidInputError(f"d_L must be an integer >= 0, got {self.d_L}")
         for w, d, name in ((self.phi_A, self.d_A, "phi_A"),
                            (self.phi_L, self.d_L, "phi_L")):
@@ -108,7 +108,7 @@ def mix_weights(pair: ModelBundlePair, t: float) -> SampledWeight:
     return SampledWeight(pair.grid, vals, 0.0, mixed_degree(pair, t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilyCurve:
     """Envelope offsets psi_t <= 0 sampled along a t-grid: row i of the
     (n_t, n) array ``psi`` is psi at t_grid[i]."""

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidParameterError, PrecisionError
 from .report import VerificationReport
+from .weights import _is_integer
 
 __all__ = [
     "FiberMeasure",
@@ -73,7 +74,9 @@ class FiberMeasure:
 
     def density(self, r):
         r = np.asarray(r, dtype=float)
-        return 2.0 * r * self.a * self.b / (r * r * self.a + self.b) ** 2
+        # two ratios in [0, 1]: q ** 2 overflows once q passes 1e154
+        q = r * r * self.a + self.b
+        return 2.0 * r * (self.a / q) * (self.b / q)
 
 
 #: half-width of the exp-sinh rule's x interval.  At its ends r / r0 is
@@ -207,9 +210,9 @@ def holder_fiber_chain(m: FiberMeasure, t: float,
     Verifies int g^m dnu >= (int g dnu)^m (int dnu)^{-(m-1)} against the
     unit-mass fiber measure nu, reporting both sides.
     """
+    if not _is_integer(m_pow) or m_pow < 1:
+        raise InvalidParameterError(f"power must be an integer >= 1, got {m_pow}")
     m_pow = int(m_pow)
-    if m_pow < 1:
-        raise InvalidParameterError(f"power must be >= 1, got {m_pow}")
     ell = t * m_pow
     if abs(ell - round(ell)) > 1e-9 or not (0.0 <= t <= 1.0):
         raise InvalidParameterError(

@@ -40,7 +40,7 @@ from .envelope2d import grid_line_defects
 from .errors import EnvlabError, GluingError, InvalidInputError, InvalidParameterError
 from .family import ModelBundlePair, family_curve, fibered_weight
 from .report import VerificationReport
-from .weights import SampledWeight, SampledWeight2D, _is_number
+from .weights import SampledWeight, SampledWeight2D, _convex_hull, _is_number
 
 __all__ = [
     "RegularizedMaxKernel",
@@ -129,33 +129,6 @@ class GlueRegion:
                 f"[{self.tau_boundary_inner}, {self.tau_boundary_outer}]")
 
 
-def _turn(o, a, b):
-    """Cross product (a - o) x (b - o); positive on a counter-clockwise turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _merged_polytope(a, b):
-    """Vertices of the convex hull of both polytopes, by a monotone chain.
-
-    When all vertices are collinear or coincide, the distinct ones are
-    returned in sorted order.
-    """
-    pts = np.vstack([a, b])
-    pts = pts[np.unique(pts.round(12), axis=0, return_index=True)[1]].tolist()
-
-    def chain(seq):
-        out = []
-        for p in seq:
-            # pop on a clockwise or straight turn, so collinear points drop
-            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0.0:
-                out.pop()
-            out.append(p)
-        return out[:-1]
-
-    hull = chain(pts) + chain(pts[::-1])
-    return np.array(hull if len(hull) >= 3 else pts)
-
-
 def glue_weights(outer: SampledWeight2D, inner: SampledWeight2D,
                  region: GlueRegion, k: RegularizedMaxKernel) -> SampledWeight2D:
     """Splice two chart weights: outer kept verbatim for tau past the outer
@@ -184,9 +157,8 @@ def glue_weights(outer: SampledWeight2D, inner: SampledWeight2D,
     values = np.empty_like(outer.values)
     values[keep] = outer.values[keep]
     values[~keep] = regularized_max(k, outer.values[~keep], inner.values[~keep])
-    return SampledWeight2D(tau, outer.grid_s, values,
-                           _merged_polytope(outer.slope_polytope,
-                                            inner.slope_polytope))
+    hull = _convex_hull(np.vstack([outer.slope_polytope, inner.slope_polytope]))
+    return SampledWeight2D(tau, outer.grid_s, values, hull)
 
 
 def _bump(s):

@@ -51,7 +51,7 @@ from .errors import (InvalidCoverError, InvalidInputError,
 from .family import ModelBundlePair
 from .measures import base_density
 from .report import VerificationReport
-from .weights import SampledWeight, SlopeInterval
+from .weights import SampledWeight, SlopeInterval, _is_integer
 
 __all__ = [
     "ToricSection",
@@ -101,13 +101,13 @@ class ToricSection:
     coefficients: dict
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
+        if not _is_integer(self.m) or self.m < 1:
             raise InvalidInputError(f"power m must be an integer >= 1, got {self.m}")
         coeffs = {}
         for (l, k), c in self.coefficients.items():
-            l, k, c = int(l), int(k), complex(c)
-            if l < 0 or l > self.m or k < 0:
+            if not (_is_integer(l) and _is_integer(k) and 0 <= l <= self.m and k >= 0):
                 raise InvalidInputError(f"exponent pair ({l}, {k}) out of range")
+            l, k, c = int(l), int(k), complex(c)
             if c != 0:
                 coeffs[(l, k)] = c
         if not coeffs:
@@ -117,9 +117,9 @@ class ToricSection:
 
 
 def _slope_lattice(w: SampledWeight, d: int, m: int) -> np.ndarray:
-    if int(d) != d or d < 0:
+    if not _is_integer(d) or d < 0:
         raise InvalidParameterError(f"degree must be an integer >= 0, got {d}")
-    if int(m) != m or m < 1:
+    if not _is_integer(m) or m < 1:
         raise InvalidParameterError(f"power must be an integer >= 1, got {m}")
     lattice = np.arange(0, int(m) * int(d) + 1) / float(m)
     keep = (lattice >= w.slope_left - 1e-12) & (lattice <= w.slope_right + 1e-12)
@@ -280,33 +280,25 @@ def _fiber_quadrature():
     return r, w
 
 
-# the (pair, m) whose Parseval s nodes and kernel were built last, with
-# them; holding the pair keeps its id from being reused while cached
-_kernel_slot: dict = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _parseval_kernel(pair, m):
     """Read-only s nodes and (r, s) weight kernel e^{-m phi_inf} dV of
-    ``pair`` at power m, fiber density included; built once per (pair, m),
-    and only the last one built is kept."""
-    key = (id(pair), m)
-    if key not in _kernel_slot:
-        _kernel_slot.clear()
-        s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
-        meas = base_density(s_nodes) * s_wt
-        a = np.exp(pair.phi_A(s_nodes))
-        b = np.exp(pair.phi_L(s_nodes))
-        r, r_wt = _fiber_quadrature()
-        # (r^2 a + b)^{-(m+2)} 2 r a b, then the quadrature weights
-        kernel = r[:, None] ** 2 * a[None, :]
-        kernel += b[None, :]
-        kernel **= -(m + 2.0)
-        kernel *= 2.0 * r[:, None] * a[None, :] * b[None, :]
-        kernel *= r_wt[:, None] * meas[None, :]
-        s_nodes.setflags(write=False)
-        kernel.setflags(write=False)
-        _kernel_slot[key] = (pair, s_nodes, kernel)
-    return _kernel_slot[key][1:]
+    ``pair`` at power m, fiber density included; only the last (pair, m)
+    built is kept (a pair compares and hashes by identity)."""
+    s_nodes, s_wt = _segment_nodes(pair.grid, order=2)
+    meas = base_density(s_nodes) * s_wt
+    a = np.exp(pair.phi_A(s_nodes))
+    b = np.exp(pair.phi_L(s_nodes))
+    r, r_wt = _fiber_quadrature()
+    # (r^2 a + b)^{-(m+2)} 2 r a b, then the quadrature weights
+    kernel = r[:, None] ** 2 * a[None, :]
+    kernel += b[None, :]
+    kernel **= -(m + 2.0)
+    kernel *= 2.0 * r[:, None] * a[None, :] * b[None, :]
+    kernel *= r_wt[:, None] * meas[None, :]
+    s_nodes.setflags(write=False)
+    kernel.setflags(write=False)
+    return s_nodes, kernel
 
 
 def _angle_sum_sq(factors, base):

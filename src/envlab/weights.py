@@ -25,6 +25,13 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """Whether a value is an integral number by the :func:`_is_number` rule;
+    NaN and the infinities are not."""
+    return _is_number(value) and (isinstance(value, numbers.Integral)
+                                  or float(value).is_integer())
+
+
 def _as_grid(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size < 2:
@@ -58,7 +65,7 @@ class SlopeInterval:
                 f"sigma_min={self.sigma_min} exceeds sigma_max={self.sigma_max}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledWeight:
     """A sampled weight u(s) with affine extrapolation outside the grid."""
 
@@ -105,40 +112,60 @@ class SampledWeight:
         return SlopeInterval(self.slope_left, self.slope_right)
 
 
+def _edge_turns(pts, poly):
+    """(q - p) x (x - p) at every row x of ``pts`` for every edge p -> q of
+    the closed polygon ``poly``: positive where x is left of the edge."""
+    d = np.concatenate([poly[1:], poly[:1]]) - poly
+    rel = pts[:, None, :] - poly[None, :, :]
+    return d[None, :, 0] * rel[:, :, 1] - d[None, :, 1] * rel[:, :, 0]
+
+
+def _convex_hull(points):
+    """Convex hull of ``points``, counter-clockwise from the lexicographically
+    smallest vertex, by Andrew's monotone chain.  A turn within 1e-12 of
+    straight drops its vertex, so collinear points leave their segment's
+    two ends and coincident ones one; two or fewer distinct points (-0.0
+    repeats 0.0) keep their input order."""
+    pts = list(dict.fromkeys(map(tuple, np.asarray(points, dtype=float).tolist())))
+    if len(pts) <= 2:
+        return np.array(pts)
+    pts.sort()
+
+    def chain(seq):
+        out = []
+        for x, y in seq:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2:]
+                if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 1e-12:
+                    break
+                out.pop()
+            out.append((x, y))
+        return out[:-1]
+
+    return np.array(chain(pts) + chain(pts[::-1]))
+
+
 def _check_polygon(poly):
     p = np.asarray(poly, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 1:
         raise InvalidInputError("slope_polytope must be an (m, 2) vertex array")
     if not np.all(np.isfinite(p)):
         raise InvalidInputError("slope_polytope has non-finite vertices")
-    # a repeated vertex would be a zero-length edge; keep its first copy
-    # (as tuples of floats, -0.0 repeats 0.0)
-    p = np.array(list(dict.fromkeys(map(tuple, p.tolist()))))
-    if p.shape[0] >= 3:
-        # orient counter-clockwise and require convexity
-        c = p.mean(axis=0)
-        ang = np.arctan2(p[:, 1] - c[1], p[:, 0] - c[0])
-        p = p[np.argsort(ang)]
-        nxt = np.roll(p, -1, axis=0)
-        nnxt = np.roll(p, -2, axis=0)
-        cross = ((nxt[:, 0] - p[:, 0]) * (nnxt[:, 1] - p[:, 1])
-                 - (nxt[:, 1] - p[:, 1]) * (nnxt[:, 0] - p[:, 0]))
-        if np.any(cross < -1e-12):
-            raise InvalidInputError("slope_polytope vertices are not convex")
-        if np.all(cross <= 1e-12):
-            # collinear: the lexicographic extremes are the segment's ends
-            p = p[np.lexsort(p.T[::-1])[[0, -1]]]
-    return p
+    hull = _convex_hull(p)
+    # a given vertex strictly inside the hull is a reflex corner
+    if (_edge_turns(p, hull) > 1e-12).all(axis=1).any():
+        raise InvalidInputError("slope_polytope vertices are not convex")
+    return hull
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledWeight2D:
     """A sampled weight u(tau, s) on a product grid.
 
     ``slope_polytope`` is the convex polygon of allowed gradient pairs
-    (d/dtau, d/ds), given as a vertex array of shape (m, 2); repeated
-    vertices are stored once, and collinear ones as their segment's two
-    ends.
+    (d/dtau, d/ds), given as an (m, 2) vertex array in any order and
+    stored as :func:`_convex_hull` returns it; a vertex strictly inside
+    that hull is an error.
     """
 
     grid_tau: np.ndarray

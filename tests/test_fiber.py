@@ -134,15 +134,30 @@ def test_wide_ratios_match_closed_forms(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e-300, 1e120, 1e140, 1e150, 1e200])
+def test_extreme_equal_parameters_match_closed_forms(a):
+    # (r^2 a + b)^2 overflows, or underflows to 0, at the rule's outer
+    # nodes, where the density itself is finite and its weight zero
+    m = FiberMeasure(a, a)
+    assert fiber_volume(m) == pytest.approx(1.0, rel=1e-12)
+    for t in (0.0, 0.5, 1.0):
+        closed = math.log(a) - math.log(gamma(1.0 + t) * gamma(2.0 - t) / 2.0)
+        assert bergman_fiber_integral(m, t) == pytest.approx(closed, abs=1e-12), t
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300),
-                                  (1e150, 1e150), (1e-300, 1e-300)])
+                                  (1e-300, 1e-300)])
 def test_out_of_float_range_is_a_precision_error(a, b):
     # no raw OverflowError, no NaN and no warning: a typed error
     m = FiberMeasure(a, b)
-    with pytest.raises(PrecisionError):
-        fiber_volume(m)
-    with pytest.raises(PrecisionError):
-        bergman_fiber_integral(m, 0.3)
+    if a != b:
+        # the centre sqrt(b / a) is out of range
+        with pytest.raises(PrecisionError):
+            fiber_volume(m)
+        with pytest.raises(PrecisionError):
+            bergman_fiber_integral(m, 0.3)
+    # at a = b = 1e-300, g^2 reaches 1e600
     with pytest.raises(PrecisionError):
         holder_fiber_chain(m, 0.5, 2)
 

@@ -7,17 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from envlab import (ComparisonConstants, InvalidCoverError, InvalidInputError,
+from envlab import (ComparisonConstants, FiberMeasure, InvalidCoverError,
+                    InvalidInputError, InvalidParameterError, ModelBundlePair,
                     NoEnvelopeError, SampledWeight, SlopeInterval,
                     ToricSection, VerificationReport, check_sandwich, checks,
                     coefficient_inequality, comparison_constants,
-                    equilibrium_envelope, psi1_approximant, psi2_approximant,
-                    unit_boxes)
+                    equilibrium_envelope, holder_fiber_chain, psi1_approximant,
+                    psi2_approximant, unit_boxes)
 from envlab.measures import base_density
 from envlab.cli import _bump_pair
 from envlab.sections import (PARSEVAL_TOL, _angle_sum_sq, _fiber_quadrature,
-                             _lattice_max, _log_norms_squared, _segment_nodes,
-                             _tail_nodes)
+                             _lattice_max, _log_norms_squared, _parseval_kernel,
+                             _segment_nodes, _tail_nodes)
 from conftest import bumpy_model_weight, model_pair, weights_of_degree
 
 
@@ -207,6 +208,34 @@ def test_toric_section_validation():
     assert (2, 1) not in sec.coefficients
 
 
+_SMALL_PAIR = model_pair(n=33)
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda v: ModelBundlePair(_SMALL_PAIR.phi_A, v, _SMALL_PAIR.phi_L, 1),
+     InvalidInputError),
+    (lambda v: ModelBundlePair(_SMALL_PAIR.phi_A, 2, _SMALL_PAIR.phi_A, v),
+     InvalidInputError),
+    (lambda v: ToricSection(v, {(0, 0): 1.0}), InvalidInputError),
+    (lambda v: ToricSection(2, {(v, 0): 1.0}), InvalidInputError),
+    (lambda v: ToricSection(2, {(0, v): 1.0}), InvalidInputError),
+    (lambda v: psi1_approximant(_SMALL_PAIR.phi_A, v, 2), InvalidParameterError),
+    (lambda v: psi2_approximant(_SMALL_PAIR.phi_A, 2, v), InvalidParameterError),
+    (lambda v: holder_fiber_chain(FiberMeasure(1.0, 1.0), 0.5, v),
+     InvalidParameterError),
+], ids=["d_A", "d_L", "section-power", "fiber-exponent", "base-exponent",
+        "degree", "power", "holder-power"])
+@pytest.mark.parametrize("value", [1.5, 2.5, math.nan, math.inf, -math.inf, True],
+                         ids=["1.5", "2.5", "nan", "inf", "-inf", "True"])
+def test_integer_parameters_reject_non_integers(build, error, value):
+    # a fraction is not truncated, a boolean is not a number, and NaN and
+    # the infinities give the site's typed error, not a raw one
+    with pytest.raises(error):
+        build(value)
+    for whole in (2, 2.0, np.int64(2)):
+        build(whole)
+
+
 @pytest.fixture(scope="module")
 def pair():
     return model_pair(n=257, d_A=1, d_L=2)
@@ -299,6 +328,15 @@ def test_blocked_parseval_sum_matches_dense_product(monkeypatch):
         np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
     assert rep.passed
     assert len(angles) == 20 and len(calls) == sum(angles) and all(calls)
+
+
+def test_parseval_battery_builds_one_kernel():
+    # 20 degree-4 sections on one pair: one (pair, 4) key, one build
+    _parseval_kernel.cache_clear()
+    checks.check_coefficient_parseval(
+        np.random.default_rng(42), _bump_pair(65), 20, PARSEVAL_TOL)
+    info = _parseval_kernel.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
 
 
 def _fresh_kernel_and_terms(section, pair):

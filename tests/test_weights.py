@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from envlab import (InvalidInputError, SampledWeight, SampledWeight2D,
                     SlopeInterval, load_weight_csv, save_weight_csv)
-from envlab.weights import save_weight2d_csv
+from envlab.weights import _convex_hull, save_weight2d_csv
 
 
 def test_slope_interval():
@@ -98,6 +101,48 @@ def test_weight2d_validation():
     nonconvex = np.array([[0, 0], [2, 0], [1, 0.2], [0, 2], [2, 2.0]])
     with pytest.raises(InvalidInputError):
         SampledWeight2D(gt, gs, np.zeros((3, 4)), nonconvex)
+
+
+def test_convex_hull_and_convexity_check_match_qhull():
+    # the hull is Qhull's counter-clockwise vertex cycle from its
+    # lexicographically smallest vertex, and a cloud is rejected exactly
+    # when one of its points is strictly inside Qhull's hull
+    gt, gs = np.linspace(0, 1, 3), np.linspace(0, 1, 4)
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        pts = rng.integers(-4, 5, size=(int(rng.integers(3, 10)), 2)).astype(float)
+        d = pts[1:] - pts[0]
+        if not np.any(d[:, 0] * d[:, None, 1] - d[:, 1] * d[:, None, 0]):
+            continue  # all on one line: no 2-d hull for Qhull
+        qhull = ConvexHull(pts)
+        cycle = pts[qhull.vertices]
+        start = np.lexsort(cycle.T[::-1])[0]
+        assert _convex_hull(pts).tolist() == np.roll(cycle, -start, axis=0).tolist()
+        eq = qhull.equations
+        if (pts @ eq[:, :2].T + eq[:, 2] < -1e-9).all(axis=1).any():
+            with pytest.raises(InvalidInputError, match="not convex"):
+                SampledWeight2D(gt, gs, np.zeros((3, 4)), pts)
+        else:
+            stored = SampledWeight2D(gt, gs, np.zeros((3, 4)), pts).slope_polytope
+            assert stored.tolist() == _convex_hull(pts).tolist()
+
+
+@pytest.mark.parametrize("poly, stored", [
+    ([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [1.0, 0.0], [2.0, 2.0]],
+     [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]),
+    ([[2.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [-1.0, 0.0]],
+     [[-1.0, 0.0], [2.0, 0.0]]),
+    ([[-3.0, 1.0], [-0.3, 0.1], [3.0, -1.0], [0.0, 3.0]],
+     [[-3.0, 1.0], [3.0, -1.0], [0.0, 3.0]]),
+], ids=["square", "segment", "float-mid-edge"])
+def test_stored_polytope_does_not_depend_on_vertex_order(poly, stored):
+    # a vertex on an edge, within a 1e-12 turn of its neighbours' chord, is
+    # no corner and is not stored: (1, 0) exactly, and (-0.3, 0.1) at a
+    # turn of about 1e-17 in floats
+    gt, gs = np.linspace(0, 1, 3), np.linspace(0, 1, 4)
+    for order in itertools.permutations(poly):
+        w = SampledWeight2D(gt, gs, np.zeros((3, 4)), list(order))
+        assert w.slope_polytope.tolist() == stored
 
 
 def test_weight_csv_roundtrip(tmp_path, rng):

@@ -47,6 +47,7 @@ T2D = "tests/test_envelope2d.py"
 SECTIONS = "src/envlab/sections.py"
 TSEC = "tests/test_sections.py"
 FIBER = "src/envlab/fiber.py"
+WEIGHTS = "src/envlab/weights.py"
 TFIB = "tests/test_fiber.py"
 
 CATALOGUE = [
@@ -104,7 +105,7 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "a point on the chord of its neighbours is on the hull when "
                "they are"},
-    # the 2-d envelope's triangle scan and zero-area polytopes
+    # the 2-d envelope's triangle scan
     {"id": "facet-cover-ignores-upper-edge",
      "file": ENV2D,
      "find": "short = np.where(tau <= t1, s0 + (s1 - s0) * lam01, "
@@ -116,14 +117,6 @@ CATALOGUE = [
      "reason": "above its middle vertex a triangle's rows run past its edge, "
                "so nodes whose maximiser is on the boundary of P take an "
                "in-P plane below the envelope"},
-    {"id": "zero-area-ends-by-angle",
-     "file": "src/envlab/weights.py",
-     "find": "p = p[np.lexsort(p.T[::-1])[[0, -1]]]",
-     "replace": "p = p[[0, -1]]",
-     "tests": [f"{T2D}::test_zero_area_polytope_is_its_segment_or_point"],
-     "expect": "killed",
-     "reason": "the first and last vertex by angle need not be the "
-               "segment's ends"},
     # the per-edge use of the kernel
     {"id": "edge-ties-by-increasing-u",
      "file": ENV2D,
@@ -176,8 +169,9 @@ CATALOGUE = [
      "reason": "the last column of every block never enters the total"},
     {"id": "parseval-kernel-key-ignores-m",
      "file": SECTIONS,
-     "find": "key = (id(pair), m)",
-     "replace": "key = id(pair)",
+     "find": "def _parseval_kernel(pair, m):\n",
+     "replace": "def _parseval_kernel(pair, m, _first_m={}):\n"
+                "    m = _first_m.setdefault(id(pair), m)\n",
      "tests": [f"{TSEC}::test_parseval_reports_match_stacked_formula"],
      "expect": "killed",
      "reason": "a second power on the same pair reuses the first power's "
@@ -259,15 +253,29 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "as for the fiber factor: the same integral, rounded "
                "differently"},
-    # known equivalent mutants
-    {"id": "merged-polytope-clockwise",
+    # the one convex hull of every slope polytope
+    {"id": "hull-keeps-straight-turns",
+     "file": WEIGHTS,
+     "find": "if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 1e-12:",
+     "replace": "if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > -1e-12:",
+     "tests": [f"{T2D}::test_zero_area_polytope_is_its_segment_or_point"],
+     "expect": "killed",
+     "reason": "a collinear set keeps its middle vertices, once per chain"},
+    {"id": "polygon-interior-vertex-accepted",
+     "file": WEIGHTS,
+     "find": "    if (_edge_turns(p, hull) > 1e-12).all(axis=1).any():\n"
+             '        raise InvalidInputError("slope_polytope vertices are not convex")\n',
+     "replace": "",
+     "tests": ["tests/test_weights.py::test_weight2d_validation"],
+     "expect": "killed",
+     "reason": "a reflex vertex is silently hulled away"},
+    {"id": "glue-hulls-outer-polytope-only",
      "file": "src/envlab/gluing.py",
-     "find": "_turn(out[-2], out[-1], p) <= 0.0",
-     "replace": "_turn(out[-2], out[-1], p) >= 0.0",
-     "tests": ["tests/test_gluing.py"],
-     "expect": "survive",
-     "reason": "the chain then runs clockwise with the same vertices, and "
-               "SampledWeight2D sorts them counter-clockwise again"},
+     "find": "_convex_hull(np.vstack([outer.slope_polytope, inner.slope_polytope]))",
+     "replace": "_convex_hull(outer.slope_polytope)",
+     "tests": ["tests/test_gluing.py::test_glue_merges_polytopes_into_their_hull"],
+     "expect": "killed",
+     "reason": "the inner chart's slopes drop out of the glued polytope"},
 ]
 
 
