@@ -3,10 +3,13 @@
 Subcommands: envelope, family, fiber-check, sections-check, glue-demo,
 verify-all.  Every run writes one JSON report per check, ``<check>.json``,
 into the output directory (flag --out, else $ENVLAB_OUT, else the working
-directory; created if missing).  --seed defaults to ``RunManifest.seed``,
-a --tol name to its check's registry default, and a glue-demo --config
-overrides keys of ``gluing.DEMO_CONFIG``.  fiber-check always reports
-both normalization constants, K_oracle and K_stated.
+directory; created if missing).  envelope also writes the envelope as
+``envelope.csv`` and gnuplot-ready ``envelope.dat`` columns (see
+export_plot_data); glue-demo, and so verify-all, also writes ``glued.csv``,
+``outer.csv`` and ``inner.csv``, ``tau,s,phi`` rows.  --seed defaults to
+``RunManifest.seed``, a --tol name to its check's registry default, and a
+glue-demo --config overrides keys of ``gluing.DEMO_CONFIG``.  fiber-check
+always reports both normalization constants, K_oracle and K_stated.
 Exit status: 0 all checks pass, 1 a verification failed (reports are
 still written), 2 input or IO trouble.
 """
@@ -33,8 +36,8 @@ from .gluing import hirzebruch_demo
 from .report import VerificationReport
 from .sections import (check_sandwich, comparison_constants, psi1_approximant,
                        unit_boxes)
-from .weights import (SampledWeight, SampledWeight2D, load_weight_csv,
-                      save_weight2d_csv, save_weight_csv)
+from .weights import (SampledWeight, load_weight_csv, save_weight2d_csv,
+                      save_weight_csv)
 
 __all__ = ["main", "run", "RunManifest", "export_plot_data",
            "export_report", "export_weight2d_artifacts"]
@@ -86,25 +89,15 @@ def export_report(report: VerificationReport, out_dir,
 
 
 def export_plot_data(w, path, envelope=None) -> str:
-    """Write gnuplot-ready columns.
+    """Write gnuplot-ready columns of a 1D weight.
 
-    1D weights: rows ``s u u_e psi`` (the envelope computed from the slope
-    metadata when not supplied), with psi the m = 64 approximant of degree
+    Rows ``s u u_e psi`` (the envelope computed from the slope metadata
+    when not supplied), with psi the m = 64 approximant of degree
     d = round(slope_right), or the envelope when d = 0; when no slope k/64
     lies in the weight's slope interval there is no approximant, and the
-    rows are ``s u u_e``.  2D weights: ``tau s phi`` rows in blank-line
-    separated blocks, one block per tau.
+    rows are ``s u u_e``.
     """
     path = str(path)
-    if isinstance(w, SampledWeight2D):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# tau s phi\n")
-            s_text = [f"{s:.17g}" for s in w.grid_s.tolist()]
-            for tau, row in zip(w.grid_tau.tolist(), w.values):
-                head = f"{tau:.17g} "
-                fh.write("".join(f"{head}{s} {v:.17g}\n"
-                                 for s, v in zip(s_text, row.tolist())) + "\n")
-        return path
     # every column is computed before the file opens, so a failure leaves
     # no partial file behind
     if envelope is None:
@@ -127,10 +120,10 @@ def export_plot_data(w, path, envelope=None) -> str:
 
 
 def export_weight2d_artifacts(named_weights: dict, out_dir) -> None:
+    """Write each 2D weight as ``<out_dir>/<name>.csv``, ``tau,s,phi`` rows."""
     os.makedirs(str(out_dir), exist_ok=True)
     for name, w in named_weights.items():
         save_weight2d_csv(w, os.path.join(str(out_dir), f"{name}.csv"))
-        export_plot_data(w, os.path.join(str(out_dir), f"{name}.dat"))
 
 
 def _bump_pair(n=513):

@@ -226,7 +226,8 @@ def holder_fiber_chain(m: FiberMeasure, t: float,
     mean, e2 = _integrate_halfline(lambda r: g(r) * m.density(r), r0)
     mass, e3 = _integrate_halfline(m.density, r0)
     rhs = mean ** m_pow * mass ** (-(m_pow - 1))
-    scale = max(abs(lhs), abs(rhs), 1e-300)
+    # relative to the larger side; both sides 0 read 0
+    scale = max(abs(lhs), abs(rhs)) or 1.0
     return VerificationReport(
         check="fiber-power-mean",
         max_violation=(rhs - lhs) / scale,

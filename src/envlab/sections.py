@@ -377,7 +377,10 @@ def coefficient_inequality(section: ToricSection,
     buf *= kernel
     total = float(buf.sum())
 
-    scale = max(total, 1e-300)
+    # relative to the total, which bounds every component; if it underflows
+    # to 0 the components' sum stands in, and when both are 0 so is every
+    # numerator and the violation reads 0
+    scale = total or sum(terms.values()) or 1.0
     term_violation = max((v - total) / scale for v in terms.values())
     parseval = abs(sum(terms.values()) - total) / scale
     return VerificationReport(

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envlab import (FiberMeasure, SampledWeight, SampledWeight2D,
-                    holder_fiber_chain, save_weight_csv)
+from envlab import (FiberMeasure, SampledWeight, holder_fiber_chain,
+                    save_weight_csv)
 from envlab.checks import CHECKS, TOLERANCE_NAMES
-from envlab.gluing import GRID_MAX
+from envlab.gluing import GRID_MAX, hirzebruch_demo
 from envlab import cli
 from envlab.cli import RunManifest, export_plot_data, export_report, main, run
 from envlab.report import VerificationReport
@@ -175,9 +175,16 @@ def test_glue_demo_with_config(tmp_path):
     cfg.write_text(json.dumps({"grid": 48}))
     code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 0
+    # each weight's one file, tau,s,phi rows tau-major, reads back exactly
+    _, weights = hirzebruch_demo({"grid": 48})
     for name in ("glued", "outer", "inner"):
-        assert (tmp_path / f"{name}.csv").exists()
-        assert (tmp_path / f"{name}.dat").exists()
+        w = weights[name]
+        n_tau, n_s = w.values.shape
+        tau, s, phi = np.loadtxt(tmp_path / f"{name}.csv", delimiter=",",
+                                 skiprows=1).T
+        assert np.array_equal(tau, np.repeat(w.grid_tau, n_s))
+        assert np.array_equal(s, np.tile(w.grid_s, n_tau))
+        assert np.array_equal(phi, w.values.ravel())
 
 
 @pytest.mark.parametrize("grid", [10 ** 30, GRID_MAX + 1])
@@ -321,6 +328,15 @@ def test_wall_times_are_per_check(verify_all_run):
     assert sum(times) <= elapsed
 
 
+def test_verify_all_writes_reports_and_csvs(verify_all_run):
+    # one JSON per check and one CSV per glued weight, nothing else
+    out, _, _ = verify_all_run
+    reports = set(_reports(out))
+    assert len(reports) == 9
+    assert sorted(set(os.listdir(out)) - reports) == [
+        "glued.csv", "inner.csv", "outer.csv"]
+
+
 def test_plot_data_1d_roundtrip(tmp_path):
     _, w = _convex_csv(tmp_path)
     path = export_plot_data(w, tmp_path / "w.dat")
@@ -328,18 +344,6 @@ def test_plot_data_1d_roundtrip(tmp_path):
     assert cols.shape == (w.grid.size, 4)
     assert np.abs(cols[:, 0] - w.grid).max() == 0.0
     assert np.abs(cols[:, 1] - w.values).max() == 0.0
-
-
-def test_plot_data_2d_blocks(tmp_path):
-    gt = np.linspace(0, 1, 3)
-    gs = np.linspace(0, 1, 4)
-    w = SampledWeight2D(gt, gs, np.arange(12.0).reshape(3, 4))
-    path = export_plot_data(w, tmp_path / "w2.dat")
-    text = open(path).read()
-    assert text.count("\n\n") == gt.size  # one blank separator per tau block
-    cols = np.loadtxt(path, ndmin=2)
-    assert cols.shape == (12, 3)
-    assert np.abs(cols[:, 2] - w.values.ravel()).max() == 0.0
 
 
 AWKWARD = [-0.0, 5e-324, 0.1, 1 / 3, 1e300, -2.5e-17]
@@ -357,17 +361,6 @@ def test_plot_data_matches_per_element_format(tmp_path):
         for s, u, ue in zip(w.grid, w.values, env.values))
     export_plot_data(w, tmp_path / "w.dat", envelope=env)
     assert (tmp_path / "w.dat").read_text() == expected
-
-    axis = np.sort(np.array(AWKWARD))
-    w2 = SampledWeight2D(axis, axis, np.array([np.roll(AWKWARD, i)
-                                               for i in range(axis.size)]))
-    expected = "# tau s phi\n"
-    for i, tau in enumerate(w2.grid_tau):
-        for s, v in zip(w2.grid_s, w2.values[i]):
-            expected += f"{tau:.17g} {s:.17g} {v:.17g}\n"
-        expected += "\n"
-    export_plot_data(w2, tmp_path / "w2.dat")
-    assert (tmp_path / "w2.dat").read_text() == expected
     assert "-0 " in expected and "4.9406564584124654e-324" in expected
 
 

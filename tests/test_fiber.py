@@ -146,6 +146,17 @@ def test_extreme_equal_parameters_match_closed_forms(a):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a", [1e100, 1e145, 1e150])
+def test_holder_violation_is_scale_free(a):
+    # both sides scale as a^-2: at a = b = 1e150 they are about 1.6e-301,
+    # exact, and below any fixed floor on the denominator
+    unit = holder_fiber_chain(FiberMeasure(1.0, 1.0), 0.5, 2).max_violation
+    rep = holder_fiber_chain(FiberMeasure(a, a), 0.5, 2)
+    assert rep.max_violation == pytest.approx(unit, rel=1e-12)
+    assert rep.max_violation < 0.0
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("a, b", [(1e-300, 1e300), (1e300, 1e-300),
                                   (1e-300, 1e-300)])
 def test_out_of_float_range_is_a_precision_error(a, b):

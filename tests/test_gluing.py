@@ -192,14 +192,13 @@ def test_hirzebruch_demo_small(tmp_path):
     assert rep.details["outer_region_exact"]
     assert rep.details["line_convexity_defect"] <= 1e-9
     assert sorted(weights) == ["glued", "inner", "outer"]
-    # the CLI writes each weight as CSV and gnuplot data beside the report
+    # the CLI writes each weight as CSV beside the report
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert main(["glue-demo", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(os.listdir(out)) == [
-        "glued.csv", "glued.dat", "hirzebruch-gluing.json", "inner.csv",
-        "inner.dat", "outer.csv", "outer.dat"]
+        "glued.csv", "hirzebruch-gluing.json", "inner.csv", "outer.csv"]
 
 
 def test_hirzebruch_demo_bad_config():

@@ -256,6 +256,19 @@ def test_coefficient_inequality_two_equal_terms(pair):
         assert v <= total * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("exponent", [-480, -500])
+def test_coefficient_inequality_is_scale_free(pair, exponent):
+    # scaling every coefficient by a power of two scales every term and the
+    # total by its square exactly; at 2^-500 the total is about 3e-302,
+    # still a normal float, and the violation keeps every bit
+    coeffs = {(2, 1): 1 + 1j, (0, 0): 0.3 - 2j, (3, 2): 0.5}
+    unit = coefficient_inequality(ToricSection(4, coeffs), pair)
+    scaled = coefficient_inequality(ToricSection(4, {
+        lk: c * 2.0 ** exponent for lk, c in coeffs.items()}), pair)
+    assert 0.0 < scaled.details["total"] < 1e-288
+    assert scaled.max_violation == unit.max_violation
+
+
 def test_coefficient_inequality_random(pair, rng, monkeypatch):
     # each section's worst term excess and Parseval mismatch within 1e-8
     assert checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
@@ -389,7 +402,7 @@ def _stacked_parseval_report(section, pair):
     sq_sum = _dense_angle_sum_sq(factors, base)
     avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
     total = float((avg_sq * kernel).sum())
-    scale = max(total, 1e-300)
+    scale = total or sum(terms.values()) or 1.0
     term_violation = max((v - total) / scale for v in terms.values())
     parseval = abs(sum(terms.values()) - total) / scale
     return VerificationReport(

@@ -225,6 +225,30 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "the psi column is written exactly when there is no "
                "approximant"},
+    # the one file of each 2D weight
+    {"id": "weight2d-csv-short-phi",
+     "file": WEIGHTS,
+     "find": 'f"{head}{s},{v!r}\\n"',
+     "replace": 'f"{head}{s},{v:.15g}\\n"',
+     "tests": ["tests/test_cli.py::test_glue_demo_with_config"],
+     "expect": "killed",
+     "reason": "15 digits do not read back as the weight's values"},
+    # relative violations divide by the larger side, with no floor
+    {"id": "holder-scale-floor",
+     "file": FIBER,
+     "find": "scale = max(abs(lhs), abs(rhs)) or 1.0",
+     "replace": "scale = max(abs(lhs), abs(rhs), 1e-300)",
+     "tests": [f"{TFIB}::test_holder_violation_is_scale_free"],
+     "expect": "killed",
+     "reason": "at a = b = 1e150 both sides are below the floor"},
+    {"id": "parseval-scale-floor",
+     "file": SECTIONS,
+     "find": "scale = total or sum(terms.values()) or 1.0",
+     "replace": "scale = max(total, 1e-300)",
+     "tests": [f"{TSEC}::test_coefficient_inequality_is_scale_free"],
+     "expect": "killed",
+     "reason": "at 2^-500 times the coefficients the total is below the "
+               "floor"},
     # the registry's default tolerances
     {"id": "registry-tolerance-missing",
      "file": "src/envlab/checks.py",
