@@ -18,14 +18,8 @@ class NoEnvelopeError(EnvlabError):
 
 
 class PrecisionError(EnvlabError):
-    """A quadrature did not reach the requested accuracy.
-
-    Carries the best estimate achieved.
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
+    """A quadrature did not reach the requested accuracy, or left the
+    float range."""
 
 
 class InvalidCoverError(EnvlabError):

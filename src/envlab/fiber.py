@@ -160,8 +160,7 @@ def fiber_volume(m: FiberMeasure) -> float:
     value, err = _integrate_halfline(m.density, _centre(m))
     if err > 1e-10:
         raise PrecisionError(
-            f"fiber volume quadrature error {err:.2e} exceeds 1.0e-10",
-            estimate=value)
+            f"fiber volume quadrature error {err:.2e} exceeds 1.0e-10")
     return _Quadrature(value, err)
 
 
@@ -198,8 +197,7 @@ def bergman_fiber_integral(m: FiberMeasure, t: float) -> float:
     err /= value  # the error of -log I(t), I(t)'s relative error
     if err > 1e-10:
         raise PrecisionError(
-            f"fiber moment quadrature relative error {err:.2e} exceeds 1.0e-10",
-            estimate=value)
+            f"fiber moment quadrature relative error {err:.2e} exceeds 1.0e-10")
     return _Quadrature(-math.log(value), err)
 
 

@@ -27,14 +27,14 @@ L2 mass of F splits into the masses of its fiber-degree components, so
 each component mass is bounded by the total.  Both sides are integrated
 numerically, the total through literal angle averaging: F itself is
 evaluated on an equispaced (theta, phi) angle grid, as complex products
-of the fiber factors r^l e^{il theta} of each angle theta against the base
-factors of one angle phi, one block of s columns at a time, and |F|^2 is
-averaged from those values, so the total never shares the coefficient
-algebra of the component side.  |F|^2 only carries angle frequencies
-|l - l'| <= m and |k - k'| <= k_max, so m + 1 and k_max + 1 angles average
-it exactly.  The s nodes and the weight kernel depend on the pair and m
-only; the last (pair, m) built is kept, so a battery of sections on one
-pair builds them once.
+of the fiber factors r^l e^{il theta}, stacked for up to five angles theta,
+against the base factors of one angle phi on one block of s columns, and
+|F|^2 is averaged from those values, so the total never shares the
+coefficient algebra of the component side.  |F|^2 only carries angle
+frequencies |l - l'| <= m and |k - k'| <= k_max, so m + 1 and k_max + 1
+angles average it exactly.  The s nodes and the weight kernel depend on
+the pair and m only; the last (pair, m) built is kept, so a battery of
+sections on one pair builds them once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .envelope import _conjugate_1d, equilibrium_envelope
 from .errors import (InvalidCoverError, InvalidInputError,
-                     InvalidParameterError, NoEnvelopeError)
+                     InvalidParameterError, NoEnvelopeError, PrecisionError)
 from .family import ModelBundlePair
 from .measures import base_density
 from .report import VerificationReport
@@ -71,10 +71,12 @@ PARSEVAL_TOL = 1e-8
 # exp(-744.4)); tests/test_sections.py checks this on the running numpy
 _EXP_UNDERFLOW = -746.0
 
-# s columns per block of the Parseval product: 96 r-nodes x 64 complex
-# columns is 96 KiB, so every per-block temporary stays below glibc's
-# default 128 KiB mmap threshold and in cache
+# s columns per block and angles theta per product of the Parseval total
+# (the CLI battery's m = 4 is one group): the product of 5 x 96 rows by 64
+# complex columns (480 KiB) and its |F|^2 are allocated once per call, so
+# the working set does not grow with m
 _PARSEVAL_BLOCK = 64
+_PARSEVAL_GROUP = 5
 
 
 @dataclass(frozen=True)
@@ -301,21 +303,9 @@ def _parseval_kernel(pair, m):
     return s_nodes, kernel
 
 
-def _angle_sum_sq(factors, base):
-    """sum over the fiber angles of |factor @ base|^2 at one angle phi,
-    elementwise, taken over one block of ``_PARSEVAL_BLOCK`` s columns at a
-    time; each element adds its angles in the same order as a product over
-    all columns."""
-    sq_sum = np.zeros((factors[0].shape[0], base.shape[1]))
-    for j in range(0, base.shape[1], _PARSEVAL_BLOCK):
-        block = slice(j, j + _PARSEVAL_BLOCK)
-        cols, acc = base[:, block], sq_sum[:, block]
-        for factor in factors:
-            f = factor @ cols
-            acc += f.real ** 2 + f.imag ** 2
-    return sq_sum
-
-
+# past the float range a term or the total reads inf or nan, which is raised
+# as one PrecisionError instead of warned about element by element
+@np.errstate(over="ignore", invalid="ignore")
 def coefficient_inequality(section: ToricSection,
                            pair: ModelBundlePair) -> VerificationReport:
     """Fiber-degree component masses against the total mass of a section.
@@ -329,12 +319,15 @@ def coefficient_inequality(section: ToricSection,
     reused by every section on it.  The grid has m + 1 angles theta and
     k_max + 1 angles phi, the fewest that integrate |F|^2 exactly: its
     angle frequencies are differences l - l' and k - k' of at most m and
-    k_max.  At each phi, F is the complex product of r^l e^{il theta} on
-    the r rows against sum_k c_lk e^{ks/2} e^{ik phi} on the s columns,
-    taken one block of columns at a time with the fiber factors built once
-    per theta; |F|^2 is summed over theta, and that sum is added into one
-    (r, s) accumulator, one phi at a time.  Verifies every component <=
-    total and that the components sum to the total.
+    k_max.  F is the complex product of r^l e^{il theta}, stacked theta by
+    theta on the rows, against sum_k c_lk e^{ks/2} e^{ik phi} on the s
+    columns: one product per block of columns, angle phi and group of up to
+    five theta, each into the same buffers.  |F|^2 is squared in place and
+    summed over theta in order, and those sums are added up one phi at a
+    time, so every element adds its angles in the same order as one
+    product per angle pair.  Verifies every component <=
+    total and that the components sum to the total; a term or total past
+    the float range raises PrecisionError.
     """
     m = section.m
     s_nodes, kernel = _parseval_kernel(pair, m)
@@ -367,15 +360,45 @@ def coefficient_inequality(section: ToricSection,
     for i, l in enumerate(degrees.tolist()):
         for k, c in by_l[l].items():
             base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
-    # F at one angle pair: (r^l e^{il theta})[r, l] @ base[l, phi, s]
+    # F at one angle pair: (r^l e^{il theta})[r, l] @ base[l, phi, s]; the
+    # fiber factors of every theta are stacked on the rows, theta by theta
     r_pow = r[:, None] ** degrees[None, :]
-    factors = [r_pow * np.exp(1j * th * degrees)[None, :] for th in theta]
-    buf.fill(0.0)
-    for j in range(n_phi):
-        buf += _angle_sum_sq(factors, base[:, j])
+    stacked = np.empty((n_theta, n_r, degrees.size), dtype=complex)
+    for i, th in enumerate(theta):
+        np.multiply(r_pow, np.exp(1j * th * degrees)[None, :], out=stacked[i])
+    stacked = stacked.reshape(-1, degrees.size)
+    rows = min(n_theta, _PARSEVAL_GROUP) * n_r
+    # flat, so that a narrower last block or group is a contiguous prefix
+    prod = np.empty(rows * _PARSEVAL_BLOCK, dtype=complex)
+    sq = np.empty(rows * _PARSEVAL_BLOCK)
+    theta_sum = np.empty(n_r * _PARSEVAL_BLOCK)
+    phi_sum = np.empty(n_r * _PARSEVAL_BLOCK)
+    for j in range(0, n_s, _PARSEVAL_BLOCK):
+        block = slice(j, j + _PARSEVAL_BLOCK)
+        width = min(_PARSEVAL_BLOCK, n_s - j)
+        acc = theta_sum[:n_r * width].reshape(n_r, width)
+        # phi sums: a ufunc into the strided buf[:, block] would buffer it
+        phi_acc = phi_sum[:n_r * width].reshape(n_r, width)
+        phi_acc.fill(0.0)
+        for p in range(n_phi):
+            acc.fill(0.0)
+            for t in range(0, stacked.shape[0], rows):
+                group = stacked[t:t + rows]
+                size = group.shape[0] * width
+                f = np.matmul(group, base[:, p, block],
+                              out=prod[:size].reshape(-1, width)).view(float)
+                f *= f
+                f = np.add(f[:, ::2], f[:, 1::2], out=sq[:size].reshape(-1, width))
+                for slab in f.reshape(-1, n_r, width):
+                    acc += slab
+            phi_acc += acc
+        buf[:, block] = phi_acc
     buf /= n_theta * n_phi
     buf *= kernel
     total = float(buf.sum())
+    if not all(map(math.isfinite, [total, *terms.values()])):
+        raise PrecisionError(f"Parseval sums at power m = {m} and fiber degree "
+                             f"{degrees[-1]} leave the float range")
 
     # relative to the total, which bounds every component; if it underflows
     # to 0 the components' sum stands in, and when both are 0 so is every

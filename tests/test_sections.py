@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +10,16 @@ from hypothesis import strategies as st
 
 from envlab import (ComparisonConstants, FiberMeasure, InvalidCoverError,
                     InvalidInputError, InvalidParameterError, ModelBundlePair,
-                    NoEnvelopeError, SampledWeight, SlopeInterval,
-                    ToricSection, VerificationReport, check_sandwich, checks,
-                    coefficient_inequality, comparison_constants,
-                    equilibrium_envelope, holder_fiber_chain, psi1_approximant,
-                    psi2_approximant, unit_boxes)
+                    NoEnvelopeError, PrecisionError, SampledWeight,
+                    SlopeInterval, ToricSection, VerificationReport,
+                    check_sandwich, checks, coefficient_inequality,
+                    comparison_constants, equilibrium_envelope,
+                    holder_fiber_chain, psi1_approximant, psi2_approximant,
+                    unit_boxes)
 from envlab.measures import base_density
 from envlab.cli import _bump_pair
-from envlab.sections import (PARSEVAL_TOL, _angle_sum_sq, _fiber_quadrature,
-                             _lattice_max, _log_norms_squared, _parseval_kernel,
+from envlab.sections import (PARSEVAL_TOL, _fiber_quadrature, _lattice_max,
+                             _log_norms_squared, _parseval_kernel,
                              _segment_nodes, _tail_nodes)
 from conftest import bumpy_model_weight, model_pair, weights_of_degree
 
@@ -320,29 +322,6 @@ def _dense_angle_sum_sq(factors, base):
     return sq_sum
 
 
-def test_blocked_parseval_sum_matches_dense_product(monkeypatch):
-    # the CLI battery's 20 seeded sections on its 257-point pair, one call
-    # per angle phi of each
-    calls, angles = [], []
-
-    def spy(factors, base):
-        out = _angle_sum_sq(factors, base)
-        calls.append(out.tobytes() == _dense_angle_sum_sq(factors, base).tobytes())
-        return out
-
-    def counted(section, pair):
-        rep = coefficient_inequality(section, pair)
-        angles.append(rep.grid["angles"][1])
-        return rep
-
-    monkeypatch.setattr("envlab.sections._angle_sum_sq", spy)
-    monkeypatch.setattr(checks, "coefficient_inequality", counted)
-    rep = checks.check_coefficient_parseval(
-        np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
-    assert rep.passed
-    assert len(angles) == 20 and len(calls) == sum(angles) and all(calls)
-
-
 def test_parseval_battery_builds_one_kernel():
     # 20 degree-4 sections on one pair: one (pair, 4) key, one build
     _parseval_kernel.cache_clear()
@@ -378,11 +357,15 @@ def _fresh_kernel_and_terms(section, pair):
 
 
 def _stacked_parseval_report(section, pair):
-    """The report by a fresh kernel and one (r, phi s) |F|^2 sum.
+    """The report by a fresh kernel and one product per angle pair.
 
     Same formulas as ``coefficient_inequality`` term for term, but the
-    kernel is built for this call, F is the product against all (phi, s)
-    columns at once, and the (r, phi s) sum is reshaped and summed over phi.
+    kernel is built for this call, F at each (theta, phi) is one product
+    against all s columns, and the |F|^2 sums are added up over phi in
+    order.  One product across the phi angles too would put each angle's
+    columns at other places of the BLAS kernel's column panels, and its
+    last, narrower panel rounds differently: at ``_bump_pair(2)``, whose
+    2 s columns all fall in such a panel, the total moves by an ulp.
     """
     m = section.m
     s_nodes, r, kernel, by_l, terms = _fresh_kernel_and_terms(section, pair)
@@ -396,11 +379,12 @@ def _stacked_parseval_report(section, pair):
     for i, l in enumerate(degrees.tolist()):
         for k, c in by_l[l].items():
             base[i] += c * np.exp(1j * k * phi)[:, None] * np.exp(k * s_nodes / 2.0)[None, :]
-    base = base.reshape(degrees.size, n_phi * n_s)
     r_pow = r[:, None] ** degrees[None, :]
     factors = [r_pow * np.exp(1j * th * degrees)[None, :] for th in theta]
-    sq_sum = _dense_angle_sum_sq(factors, base)
-    avg_sq = sq_sum.reshape(n_r, n_phi, n_s).sum(axis=1) / (n_theta * n_phi)
+    avg_sq = np.zeros((n_r, n_s))
+    for j in range(n_phi):
+        avg_sq += _dense_angle_sum_sq(factors, base[:, j])
+    avg_sq /= n_theta * n_phi
     total = float((avg_sq * kernel).sum())
     scale = total or sum(terms.values()) or 1.0
     term_violation = max((v - total) / scale for v in terms.values())
@@ -443,21 +427,52 @@ def test_parseval_reports_match_stacked_formula(monkeypatch, pair):
                 == _report_bytes(_stacked_parseval_report(sec, p)))
 
 
+@pytest.mark.parametrize("n", [2, 100, 200, 300])
+def test_parseval_reports_match_stacked_formula_on_partial_blocks(n):
+    # 2, 198, 398 and 598 s nodes: no pair here fills its last block
+    pair = _bump_pair(n)
+    rng = np.random.default_rng(n)
+    for m, k_max in ((1, 0), (1, 4), (4, 2), (4, 4), (6, 3), (6, 4)):
+        coeffs = {(int(rng.integers(0, m + 1)), int(rng.integers(0, k_max + 1))):
+                  complex(rng.normal(), rng.normal()) for _ in range(6)}
+        coeffs[(m, k_max)] = complex(rng.normal(), rng.normal())
+        sec = ToricSection(m, coeffs)
+        assert (_report_bytes(coefficient_inequality(sec, pair))
+                == _report_bytes(_stacked_parseval_report(sec, pair)))
+
+
 def test_warm_parseval_call_stays_below_one_stacked_buffer():
     # five angles phi: the stacked (r, phi s) |F|^2 sum alone is five (r, s)
-    # float arrays; the kernel is built by the first call
+    # float arrays; the kernel is built by each section's first call, and at
+    # m = 48 products over all 49 angles theta at once would not fit
     pair = _bump_pair(257)
-    sec = ToricSection(4, {(l, k): complex(l + 1, k) for l in range(5)
-                           for k in range(5)})
-    coefficient_inequality(sec, pair)
-    tracemalloc.start()
-    try:
-        coefficient_inequality(sec, pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     n_r, n_s = _fiber_quadrature()[0].size, 2 * (pair.grid.size - 1)
-    assert peak < n_r * 5 * n_s * 8
+    for m, degrees in ((4, range(5)), (48, range(0, 49, 12))):
+        sec = ToricSection(m, {(l, k): complex(l + 1, k) for l in degrees
+                               for k in range(5)})
+        coefficient_inequality(sec, pair)
+        tracemalloc.start()
+        try:
+            coefficient_inequality(sec, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_r * 5 * n_s * 8
+
+
+def test_parseval_past_float_range_is_a_precision_error():
+    # r^{2l} e^{ks} overflows at the outer radial nodes before the kernel
+    # can make it small; at (56, 4) the sums stay finite
+    pair = _bump_pair(257)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m, (l, k) in ((64, (64, 1)), (60, (60, 4))):
+            with pytest.raises(PrecisionError, match=f"m = {m} and fiber degree {l}"):
+                coefficient_inequality(ToricSection(m, {(l, k): 1.0}), pair)
+        sec = ToricSection(56, {(56, 4): 1.0})
+        rep = coefficient_inequality(sec, pair)
+    assert rep.passed
+    assert _report_bytes(rep) == _report_bytes(_stacked_parseval_report(sec, pair))
 
 
 def _literal_average_oracle(section, pair):

@@ -162,11 +162,22 @@ CATALOGUE = [
      "reason": "the k = 0 monomial is the maximiser far to the left"},
     {"id": "parseval-block-narrower-than-stride",
      "file": SECTIONS,
-     "find": "block = slice(j, j + _PARSEVAL_BLOCK)",
-     "replace": "block = slice(j, j + _PARSEVAL_BLOCK - 1)",
-     "tests": [f"{TSEC}::test_blocked_parseval_sum_matches_dense_product"],
+     "find": "block = slice(j, j + _PARSEVAL_BLOCK)\n"
+             "        width = min(_PARSEVAL_BLOCK, n_s - j)",
+     "replace": "block = slice(j, j + _PARSEVAL_BLOCK - 1)\n"
+                "        width = min(_PARSEVAL_BLOCK - 1, n_s - j)",
+     "tests": [f"{TSEC}::test_parseval_reports_match_stacked_formula"
+               "_on_partial_blocks"],
      "expect": "killed",
-     "reason": "the last column of every block never enters the total"},
+     "reason": "the last column of every full block never enters the total"},
+    {"id": "parseval-group-skips-first-theta",
+     "file": SECTIONS,
+     "find": "for slab in f.reshape(-1, n_r, width):",
+     "replace": "for slab in f.reshape(-1, n_r, width)[1:]:",
+     "tests": ["tests/test_acceptance.py::test_coefficient_parseval"],
+     "expect": "killed",
+     "reason": "the first angle theta of every group never enters the "
+               "total, so it falls short of the components' sum"},
     {"id": "parseval-kernel-key-ignores-m",
      "file": SECTIONS,
      "find": "def _parseval_kernel(pair, m):\n",
@@ -178,11 +189,27 @@ CATALOGUE = [
                "kernel"},
     {"id": "parseval-phi-loop-skips-last-angle",
      "file": SECTIONS,
-     "find": "for j in range(n_phi):",
-     "replace": "for j in range(n_phi - 1):",
+     "find": "for p in range(n_phi):",
+     "replace": "for p in range(n_phi - 1):",
      "tests": [f"{TSEC}::test_parseval_reports_match_stacked_formula"],
      "expect": "killed",
      "reason": "the last angle phi never enters the total"},
+    {"id": "parseval-overflow-guard-removed",
+     "file": SECTIONS,
+     "find": "    if not all(map(math.isfinite, [total, *terms.values()])):\n",
+     "replace": "    if False:\n",
+     "tests": [f"{TSEC}::test_parseval_past_float_range_is_a_precision_error"],
+     "expect": "killed",
+     "reason": "past the float range the report reads nan and fails "
+               "instead of raising"},
+    {"id": "parseval-overflow-warns",
+     "file": SECTIONS,
+     "find": '@np.errstate(over="ignore", invalid="ignore")\n'
+             "def coefficient_inequality(",
+     "replace": "def coefficient_inequality(",
+     "tests": [f"{TSEC}::test_parseval_past_float_range_is_a_precision_error"],
+     "expect": "killed",
+     "reason": "overflow warnings reach the caller before the typed error"},
     {"id": "exp-mask-keeps-skipped-entries",
      "file": SECTIONS,
      "find": "        expo[~keep] = 0.0\n",
