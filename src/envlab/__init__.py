@@ -19,8 +19,8 @@ from .family import (FamilyCurve, ModelBundlePair, cayley_polytope,
                      minimal_singularity_gap, mix_weights, monotone_t_grid,
                      naive_fibered_weight)
 from .fiber import (STATED_NORMALIZATION, FiberMeasure,
-                    bergman_fiber_integral, fiber_volume, gamma,
-                    holder_fiber_chain, oracle_normalization)
+                    bergman_fiber_integral, fiber_volume, holder_fiber_chain,
+                    oracle_normalization)
 from .gluing import (GlueRegion, RegularizedMaxKernel, glue_weights,
                      hirzebruch_demo, regularized_max)
 from .report import VerificationReport
@@ -42,7 +42,7 @@ __all__ = [
     "family_curve", "fibered_weight", "minimal_singularity_gap", "mix_weights",
     "monotone_t_grid", "naive_fibered_weight",
     "STATED_NORMALIZATION", "FiberMeasure", "bergman_fiber_integral",
-    "fiber_volume", "gamma", "holder_fiber_chain", "oracle_normalization",
+    "fiber_volume", "holder_fiber_chain", "oracle_normalization",
     "GlueRegion", "RegularizedMaxKernel", "glue_weights", "hirzebruch_demo",
     "regularized_max",
     "VerificationReport",

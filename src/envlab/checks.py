@@ -1,68 +1,24 @@
-"""The check registry and the randomized batteries.
+"""The randomized batteries.
 
-``CHECKS`` maps each check name to its report's anchor phrase, ``--tol``
-name (None when the reporting module fixes the tolerance) and default
-tolerance.  The ``check_*`` functions are the one copy of each battery:
-the CLI and the acceptance suite call them with their own generators, case
-counts and tolerances, and each records its generator's seed in
-``details["seed"]``.  Checks that are one call live in their own modules.
+The ``check_*`` functions are the one copy of each battery: the CLI and
+the acceptance suite call them with their own generators and case counts,
+and each records its generator's seed in ``details["seed"]``.  Every
+report carries its check's default tolerance from ``report.CHECKS``.
+Checks that are one call live in their own modules.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+import math
 
 import numpy as np
 
 from . import fiber
 from .envelope import equilibrium_envelope, hull_envelope
-from .family import GAP_BOUND_TOL, MONOTONE_TOL, RIGHT_CONTINUITY_TOL
-from .gluing import GLUING_TOL, RegularizedMaxKernel, regularized_max
+from .gluing import RegularizedMaxKernel, regularized_max
 from .report import VerificationReport
-from .sections import (PARSEVAL_TOL, SANDWICH_TOL, ToricSection,
-                       coefficient_inequality)
+from .sections import ToricSection, coefficient_inequality
 from .weights import SlopeInterval
-
-
-REGULARIZED_MAX_TOL = 1e-10
-
-
-class Check(NamedTuple):
-    anchor: str
-    tol_name: Optional[str]   # the --tol name, or None when it is fixed
-    tol: float                # the tolerance its report carries by default
-
-
-CHECKS = {
-    "envelope-oracle-equivalence": Check(
-        "dual-route equilibrium envelope agreement", "envelope", 1e-8),
-    "family-monotonicity": Check(
-        "normalized family curve monotone in t", "family", MONOTONE_TOL),
-    "family-right-continuity": Check(
-        "family curve right-continuous in t", None, RIGHT_CONTINUITY_TOL),
-    "fiber-volume": Check(
-        "fiber probability density has unit mass", "fiber", 1e-10),
-    "fiber-normalization": Check(
-        "closed-form fiber moment identity", "fiber_rel", 1e-8),
-    "fiber-power-mean": Check(
-        "power-mean inequality for the fiber integrand", None, fiber.POWER_MEAN_TOL),
-    "section-sandwich": Check(
-        "two-sided section approximant bounds", "sandwich", SANDWICH_TOL),
-    "coefficient-parseval": Check(
-        "fiber-degree coefficient inequality", "parseval", PARSEVAL_TOL),
-    "regularized-max-contract": Check(
-        "smoothed maximum contract clauses", None, REGULARIZED_MAX_TOL),
-    "hirzebruch-gluing": Check(
-        "two-chart glued weight positivity", None, GLUING_TOL),
-    "envelope-run": Check(
-        "single equilibrium envelope computation", "envelope", 1e-8),
-    "envelope-gap-bound": Check(
-        "constrained envelope gap against weight bound", None, GAP_BOUND_TOL),
-}
-
-# every name --tol accepts, in registry order
-TOLERANCE_NAMES = tuple(dict.fromkeys(
-    c.tol_name for c in CHECKS.values() if c.tol_name is not None))
 
 
 def _seed(rng) -> int:
@@ -74,8 +30,8 @@ def _oracle_gap(w, env, iv) -> float:
     return float(np.abs(env.values - hull_envelope(w, iv).values).max())
 
 
-def check_envelope_oracle_equivalence(rng, draw, cases: int,
-                                      tol: float) -> VerificationReport:
+def check_envelope_oracle_equivalence(rng, draw,
+                                      cases: int) -> VerificationReport:
     """Both 1D envelope routes agree on ``cases`` weights.
 
     ``draw(rng, i)`` returns the i-th weight and the degree d of its slope
@@ -88,19 +44,19 @@ def check_envelope_oracle_equivalence(rng, draw, cases: int,
         worst = max(worst, _oracle_gap(w, equilibrium_envelope(w, iv), iv))
     return VerificationReport(
         check="envelope-oracle-equivalence", max_violation=worst,
-        tolerance=tol, grid={"cases": cases}, details={"seed": _seed(rng)})
+        grid={"cases": cases}, details={"seed": _seed(rng)})
 
 
-def check_envelope_run(w, env, source: str, tol: float) -> VerificationReport:
+def check_envelope_run(w, env, source: str) -> VerificationReport:
     """``env``, the primary envelope of ``w`` read from ``source``, matches
     the oracle on ``w``'s own slope interval."""
     return VerificationReport(
         check="envelope-run", max_violation=_oracle_gap(w, env, w.slope_interval),
-        tolerance=tol, grid={"s_points": int(w.grid.size)},
+        grid={"s_points": int(w.grid.size)},
         details={"input": source})
 
 
-def check_fiber_volume(rng, cases: int, tol: float) -> VerificationReport:
+def check_fiber_volume(rng, cases: int) -> VerificationReport:
     """|fiber volume - 1| over ``cases`` random fiber measures, with the
     worst quadrature error estimate."""
     worst = worst_err = 0.0
@@ -110,12 +66,11 @@ def check_fiber_volume(rng, cases: int, tol: float) -> VerificationReport:
         worst = max(worst, abs(volume - 1.0))
         worst_err = max(worst_err, volume.error)
     return VerificationReport(
-        check="fiber-volume", max_violation=worst, tolerance=tol,
-        grid={"cases": cases},
+        check="fiber-volume", max_violation=worst, grid={"cases": cases},
         details={"seed": _seed(rng), "max_error_estimate": worst_err})
 
 
-def check_fiber_normalization(rng, cases: int, tol: float) -> VerificationReport:
+def check_fiber_normalization(rng, cases: int) -> VerificationReport:
     """Relative error of the Gamma moment identity at 9 t values per case,
     with the oracle's K, the stated K, whether the two agree and the worst
     quadrature error estimate of -log I(t)."""
@@ -127,11 +82,11 @@ def check_fiber_normalization(rng, cases: int, tol: float) -> VerificationReport
         for t in np.linspace(0.0, 1.0, 9):
             moment = fiber.bergman_fiber_integral(m, float(t))
             lhs = np.exp(-moment + t * np.log(a) + (1.0 - t) * np.log(b))
-            rhs = fiber.gamma(1.0 + t) * fiber.gamma(2.0 - t) / k_oracle
+            rhs = math.gamma(1.0 + t) * math.gamma(2.0 - t) / k_oracle
             worst = max(worst, abs(lhs - rhs) / rhs)
             worst_err = max(worst_err, moment.error)
     return VerificationReport(
-        check="fiber-normalization", max_violation=worst, tolerance=tol,
+        check="fiber-normalization", max_violation=worst,
         grid={"cases": cases, "t_points": 9},
         details={"seed": _seed(rng), "max_error_estimate": worst_err,
                  "K_oracle": k_oracle,
@@ -140,8 +95,7 @@ def check_fiber_normalization(rng, cases: int, tol: float) -> VerificationReport
                      abs(k_oracle - fiber.STATED_NORMALIZATION) < 1e-9)})
 
 
-def check_coefficient_parseval(rng, pair, cases: int,
-                               tol: float) -> VerificationReport:
+def check_coefficient_parseval(rng, pair, cases: int) -> VerificationReport:
     """Coefficient inequality for ``cases`` random degree-4 sections on ``pair``."""
     worst = 0.0
     for _ in range(cases):
@@ -152,7 +106,7 @@ def check_coefficient_parseval(rng, pair, cases: int,
         worst = max(worst, coefficient_inequality(
             ToricSection(4, coeffs), pair).max_violation)
     return VerificationReport(
-        check="coefficient-parseval", max_violation=worst, tolerance=tol,
+        check="coefficient-parseval", max_violation=worst,
         grid={"cases": cases}, details={"seed": _seed(rng)})
 
 
@@ -183,6 +137,6 @@ def check_regularized_max_contract(rng, cases: int) -> VerificationReport:
         convex_worst = max(convex_worst, -np.diff(m, n=2).min(), 0.0)
     return VerificationReport(
         check="regularized-max-contract",
-        max_violation=max(worst, convex_worst), tolerance=REGULARIZED_MAX_TOL,
+        max_violation=max(worst, convex_worst),
         grid={"cases": cases, "convex_pairs": 100},
         details={"seed": _seed(rng), "convexity_defect": convex_worst})

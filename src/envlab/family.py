@@ -24,7 +24,7 @@ import numpy as np
 from .envelope import equilibrium_envelope
 from .envelope2d import equilibrium_envelope_2d
 from .errors import InvalidInputError, InvalidParameterError
-from .fiber import gamma, oracle_normalization
+from .fiber import oracle_normalization
 from .measures import base_density
 from .report import VerificationReport
 from .weights import SampledWeight, SampledWeight2D, _is_integer
@@ -52,10 +52,6 @@ _DELTAS = (1 / 32, 1 / 64, 1 / 128, 1 / 256)
 # side of the half-overlapping s-boxes and t samples of the constant C1
 _BOX_SIZE = 1.0
 _T_SAMPLES = 101
-
-MONOTONE_TOL = 1e-9
-RIGHT_CONTINUITY_TOL = 1e-9
-GAP_BOUND_TOL = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +152,7 @@ def family_curve(pair: ModelBundlePair, t_grid=None) -> FamilyCurve:
     return FamilyCurve(pair, t_grid, psi)
 
 
-def check_monotone_family(fc: FamilyCurve,
-                          tol: float = MONOTONE_TOL) -> VerificationReport:
+def check_monotone_family(fc: FamilyCurve) -> VerificationReport:
     """psi_t / (1 - t) must be nondecreasing in t at every base sample.
 
     The rows are streamed: each drop h_prev - h_cur is folded into a
@@ -177,7 +172,6 @@ def check_monotone_family(fc: FamilyCurve,
     return VerificationReport(
         check="family-monotonicity",
         max_violation=violation,
-        tolerance=tol,
         grid={"t_points": int(fc.t_grid.size), "s_points": int(fc.pair.grid.size)},
         details={"t_max": float(fc.t_grid[-1])})
 
@@ -208,7 +202,6 @@ def check_right_continuity(fc: FamilyCurve) -> VerificationReport:
     return VerificationReport(
         check="family-right-continuity",
         max_violation=worst_increase,
-        tolerance=RIGHT_CONTINUITY_TOL,
         grid={"deltas": list(_DELTAS), "t_values": list(ladders)},
         details={"residuals": ladders,
                  "fitted_decay": float(np.mean(rates)) if rates else 0.0})
@@ -253,7 +246,8 @@ def _oscillation_constants(pair: ModelBundlePair):
     s = pair.grid
     k = oracle_normalization()
     t = np.linspace(0.0, 1.0, _T_SAMPLES)
-    gam = np.array([math.log(gamma(1.0 + ti) * gamma(2.0 - ti) / k) for ti in t])
+    gam = np.array([math.log(math.gamma(1.0 + ti) * math.gamma(2.0 - ti) / k)
+                    for ti in t])
     # reference family t phi_A + (1-t) phi_L - log(Gamma Gamma / K), all t
     ref = (t[:, None] * pair.phi_A.values[None, :]
            + (1.0 - t)[:, None] * pair.phi_L.values[None, :]
@@ -290,7 +284,6 @@ def minimal_singularity_gap(pair: ModelBundlePair,
     return VerificationReport(
         check="envelope-gap-bound",
         max_violation=gap - c,
-        tolerance=GAP_BOUND_TOL,
         grid={"tau_points": int(fw.grid_tau.size),
               "s_points": int(fw.grid_s.size),
               "box_size": _BOX_SIZE},

@@ -172,8 +172,6 @@ DEMO_CONFIG = {"k": 3, "d_A": 1, "d_L": 0, "grid": 128, "epsilon": 0.25}
 #: at once, and one of them is 32 MB at 2048
 GRID_MAX = 2048
 
-GLUING_TOL = 1e-9
-
 
 def _config_number(config, key, kind):
     """``config[key]`` as ``kind`` (int or float), or a typed config error.
@@ -273,7 +271,6 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
         report = VerificationReport(
             check="hirzebruch-gluing",
             max_violation=defect if outer_exact else math.inf,
-            tolerance=GLUING_TOL,
             grid={"tau_points": n, "s_points": n},
             details={"k": k_twist, "d_A": d_A, "d_L": d_L, "epsilon": eps,
                      "normalization_shift": shift,

@@ -64,9 +64,6 @@ __all__ = [
     "coefficient_inequality",
 ]
 
-SANDWICH_TOL = 1e-9
-PARSEVAL_TOL = 1e-8
-
 # exp(x) rounds to 0.0 for every x <= -746 (the smallest subnormal is
 # exp(-744.4)); tests/test_sections.py checks this on the running numpy
 _EXP_UNDERFLOW = -746.0
@@ -248,8 +245,8 @@ def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
     return ComparisonConstants(c1, c2)
 
 
-def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
-                   tol: float = SANDWICH_TOL) -> VerificationReport:
+def check_sandwich(w: SampledWeight, d: int, m: int,
+                   cc: ComparisonConstants) -> VerificationReport:
     """psi2 - C' <= psi1 <= envelope, plus the big-case gap when d >= 1."""
     env = equilibrium_envelope(w, SlopeInterval(0.0, float(d)))
     psi1 = psi1_approximant(w, d, m)
@@ -265,7 +262,6 @@ def check_sandwich(w: SampledWeight, d: int, m: int, cc: ComparisonConstants,
     return VerificationReport(
         check="section-sandwich",
         max_violation=max(lower_violation, upper_violation),
-        tolerance=tol,
         grid={"s_points": int(w.grid.size)},
         details=details)
 
@@ -409,7 +405,6 @@ def coefficient_inequality(section: ToricSection,
     return VerificationReport(
         check="coefficient-parseval",
         max_violation=max(term_violation, parseval),
-        tolerance=PARSEVAL_TOL,
         grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
               "angles": [n_theta, n_phi],
               "nodes": n_theta * n_phi * n_r * n_s},

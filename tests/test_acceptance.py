@@ -42,8 +42,7 @@ def _quadratic_case(rng, i):
 def test_envelope_oracle_equivalence():
     rng = np.random.default_rng(1001)
     t0 = time.time()
-    rep = checks.check_envelope_oracle_equivalence(rng, _quadratic_case, 50,
-                                                   1e-8)
+    rep = checks.check_envelope_oracle_equivalence(rng, _quadratic_case, 50)
     elapsed = time.time() - t0
     _report("envelope-oracle-equivalence", rep.passed and elapsed < 30.0,
             f"sup-norm {rep.max_violation:.3e} (tol 1e-08), "
@@ -61,14 +60,13 @@ def test_family_monotonicity():
 
 
 def test_fiber_volume_unit_mass():
-    rep = checks.check_fiber_volume(np.random.default_rng(1003), 100, 1e-10)
+    rep = checks.check_fiber_volume(np.random.default_rng(1003), 100)
     _report("fiber-unit-mass", rep.passed,
             f"max |volume - 1| = {rep.max_violation:.3e} (tol 1e-10), 100 cases")
 
 
 def test_fiber_gamma_identity():
-    rep = checks.check_fiber_normalization(np.random.default_rng(1004), 20,
-                                           1e-8)
+    rep = checks.check_fiber_normalization(np.random.default_rng(1004), 20)
     d = rep.details
     _report("fiber-gamma-identity", rep.passed,
             f"max rel error {rep.max_violation:.3e} (tol 1e-08); "
@@ -120,7 +118,7 @@ def test_section_sandwich():
 
 def test_coefficient_parseval():
     rep = checks.check_coefficient_parseval(
-        np.random.default_rng(1007), model_pair(n=257, d_A=1, d_L=2), 100, 1e-8)
+        np.random.default_rng(1007), model_pair(n=257, d_A=1, d_L=2), 100)
     _report("coefficient-parseval", rep.passed,
             f"max violation {rep.max_violation:.3e} (tol 1e-08), "
             "100 random sections")

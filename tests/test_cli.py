@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 
 from envlab import (FiberMeasure, SampledWeight, holder_fiber_chain,
                     save_weight_csv)
-from envlab.checks import CHECKS, TOLERANCE_NAMES
 from envlab.gluing import GRID_MAX, hirzebruch_demo
 from envlab import cli
 from envlab.cli import RunManifest, export_plot_data, export_report, main, run
-from envlab.report import VerificationReport
+from envlab.report import CHECKS, TOLERANCE_NAMES, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -230,11 +229,28 @@ def test_report_determinism(tmp_path):
     assert "timestamp" in body and body["anchor"] == CHECKS["fiber-volume"].anchor
 
 
-def test_export_rejects_unregistered_check(tmp_path):
-    rep = VerificationReport("orphan-check", 0.0, 1.0, {}, {})
+def test_report_rejects_unregistered_check():
     with pytest.raises(KeyError):
-        export_report(rep, tmp_path)
-    assert not os.listdir(tmp_path)
+        VerificationReport("orphan-check", 0.0, 1.0, {}, {})
+
+
+def test_registry_default_tolerances_are_pinned():
+    # every report takes its default from the registry, so this table is
+    # the one other copy that notices a loosened default
+    assert {name: c.tol for name, c in CHECKS.items()} == {
+        "envelope-oracle-equivalence": 1e-8,
+        "family-monotonicity": 1e-9,
+        "family-right-continuity": 1e-9,
+        "fiber-volume": 1e-10,
+        "fiber-normalization": 1e-8,
+        "fiber-power-mean": 1e-10,
+        "section-sandwich": 1e-9,
+        "coefficient-parseval": 1e-8,
+        "regularized-max-contract": 1e-10,
+        "hirzebruch-gluing": 1e-9,
+        "envelope-run": 1e-8,
+        "envelope-gap-bound": 0.0,
+    }
 
 
 def test_export_power_mean_report(tmp_path):
@@ -319,6 +335,29 @@ def test_anchor_registry_covers_emitted_checks(verify_all_run, tmp_path):
     # the acceptance suite runs envelope-gap-bound and the fiber tests and
     # demo 03 run fiber-power-mean; no CLI command does
     assert set(CHECKS) - emitted == {"envelope-gap-bound", "fiber-power-mean"}
+
+
+def test_tolerance_overrides_reach_their_reports(tmp_path):
+    # at 1e-300 every overridden check fails on its rounding error alone;
+    # a check without a --tol name keeps its default
+    s = np.linspace(-10, 10, 257)
+    bumpy = np.log1p(np.exp(-np.abs(s))) + np.maximum(s, 0.0) + np.exp(-s * s)
+    path = tmp_path / "bumpy.csv"
+    save_weight_csv(SampledWeight(s, bumpy, 0.0, 1.0), path)
+    every = [arg for name in TOLERANCE_NAMES
+             for arg in ("--tol", f"{name}=1e-300")]
+    runs = {"all": (["verify-all", "--seed", "3", *every], TOLERANCE_NAMES),
+            "envelope": (["envelope", "--input", str(path),
+                          "--tol", "envelope=1e-300"], ("envelope",))}
+    for label, (argv, names) in runs.items():
+        out = tmp_path / label
+        assert main(argv + ["--out", str(out)]) == 1
+        reports = _reports(out).values()
+        assert {CHECKS[rep["check"]].tol_name for rep in reports} >= set(names)
+        for rep in reports:
+            entry = CHECKS[rep["check"]]
+            want = 1e-300 if entry.tol_name in names else entry.tol
+            assert rep["tolerance"] == want, rep["check"]
 
 
 def test_wall_times_are_per_check(verify_all_run):

@@ -10,7 +10,7 @@ from envlab import (FamilyCurve, InvalidInputError, InvalidParameterError,
                     monotone_t_grid, naive_fibered_weight, cayley_polytope,
                     default_t_grid, SlopeInterval)
 from envlab import family
-from envlab.checks import CHECKS
+from envlab.report import CHECKS
 from conftest import model_pair
 
 

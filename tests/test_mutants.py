@@ -1,0 +1,38 @@
+"""The mutation catalogue in tools/mutants.py stays fresh: every snippet
+occurs once in its file and every test it names exists.  No mutant is
+applied here; ``python tools/mutants.py`` does that."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _catalogue():
+    spec = importlib.util.spec_from_file_location(
+        "mutants", ROOT / "tools" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CATALOGUE
+
+
+CATALOGUE = _catalogue()
+
+
+def _test_functions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("entry", CATALOGUE, ids=lambda e: e["id"])
+def test_catalogue_entry_is_fresh(entry):
+    text = (ROOT / entry["file"]).read_text(encoding="utf-8")
+    assert text.count(entry["find"]) == 1
+    for test_id in entry["tests"]:
+        path, _, name = test_id.partition("::")
+        assert (ROOT / path).is_file(), test_id
+        if name:
+            assert name.partition("[")[0] in _test_functions(ROOT / path), test_id

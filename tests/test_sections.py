@@ -18,7 +18,7 @@ from envlab import (ComparisonConstants, FiberMeasure, InvalidCoverError,
                     unit_boxes)
 from envlab.measures import base_density
 from envlab.cli import _bump_pair
-from envlab.sections import (PARSEVAL_TOL, _fiber_quadrature, _lattice_max,
+from envlab.sections import (_fiber_quadrature, _lattice_max,
                              _log_norms_squared, _parseval_kernel,
                              _segment_nodes, _tail_nodes)
 from conftest import bumpy_model_weight, model_pair, weights_of_degree
@@ -273,10 +273,10 @@ def test_coefficient_inequality_is_scale_free(pair, exponent):
 
 def test_coefficient_inequality_random(pair, rng, monkeypatch):
     # each section's worst term excess and Parseval mismatch within 1e-8
-    assert checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
+    assert checks.check_coefficient_parseval(rng, pair, 10).passed
     broken = VerificationReport("coefficient-parseval", 1e-6, 1e-8)
     monkeypatch.setattr(checks, "coefficient_inequality", lambda s, p: broken)
-    assert not checks.check_coefficient_parseval(rng, pair, 10, 1e-8).passed
+    assert not checks.check_coefficient_parseval(rng, pair, 10).passed
 
 
 @st.composite
@@ -326,7 +326,7 @@ def test_parseval_battery_builds_one_kernel():
     # 20 degree-4 sections on one pair: one (pair, 4) key, one build
     _parseval_kernel.cache_clear()
     checks.check_coefficient_parseval(
-        np.random.default_rng(42), _bump_pair(65), 20, PARSEVAL_TOL)
+        np.random.default_rng(42), _bump_pair(65), 20)
     info = _parseval_kernel.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 19, 1)
 
@@ -391,7 +391,7 @@ def _stacked_parseval_report(section, pair):
     parseval = abs(sum(terms.values()) - total) / scale
     return VerificationReport(
         check="coefficient-parseval",
-        max_violation=max(term_violation, parseval), tolerance=PARSEVAL_TOL,
+        max_violation=max(term_violation, parseval),
         grid={"s_points": int(pair.grid.size), "r_nodes": n_r,
               "angles": [n_theta, n_phi],
               "nodes": n_theta * n_phi * n_r * n_s},
@@ -416,7 +416,7 @@ def test_parseval_reports_match_stacked_formula(monkeypatch, pair):
 
     monkeypatch.setattr(checks, "coefficient_inequality", compared)
     checks.check_coefficient_parseval(
-        np.random.default_rng(42), _bump_pair(257), 20, PARSEVAL_TOL)
+        np.random.default_rng(42), _bump_pair(257), 20)
     assert len(seen) == 20 and all(seen)
     # alternating powers on one pair need a kernel each, and a second pair
     # at the same power needs its own

@@ -20,8 +20,9 @@ reason.  The outcome of an entry is one of
 
 The summary lists the entries by outcome and, under ``unexpected``, every
 entry whose outcome is not its expectation; the exit status is 1 when that
-list is not empty.  Only the standard library is used, and the tier-1 suite
-never runs this file.
+list is not empty.  Only the standard library is used.  The tier-1 suite
+applies no mutant; ``tests/test_mutants.py`` checks only that every entry
+is fresh and names tests that exist.
 """
 
 from __future__ import annotations
@@ -276,14 +277,30 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "at 2^-500 times the coefficients the total is below the "
                "floor"},
-    # the registry's default tolerances
+    # the registry's default tolerances and the --tol overrides
     {"id": "registry-tolerance-missing",
-     "file": "src/envlab/checks.py",
-     "find": '"family curve right-continuous in t", None, RIGHT_CONTINUITY_TOL)',
+     "file": "src/envlab/report.py",
+     "find": '"family curve right-continuous in t", None, 1e-9)',
      "replace": '"family curve right-continuous in t", None, None)',
      "tests": ["tests/test_cli.py::test_anchor_registry_covers_emitted_checks"],
      "expect": "killed",
-     "reason": "the registry and the report disagree on the tolerance"},
+     "reason": "the report carries no tolerance, so it has no verdict"},
+    {"id": "registry-tolerance-loosened",
+     "file": "src/envlab/report.py",
+     "find": '"fiber probability density has unit mass", "fiber", 1e-10)',
+     "replace": '"fiber probability density has unit mass", "fiber", 1e-3)',
+     "tests": ["tests/test_cli.py::test_registry_default_tolerances_are_pinned"],
+     "expect": "killed",
+     "reason": "every report reads the loosened default, so only the "
+               "pinned table sees it"},
+    {"id": "tol-override-dropped",
+     "file": "src/envlab/cli.py",
+     "find": "            rep.tolerance = manifest.tolerances.get(CHECKS[rep.check].tol_name,\n"
+             "                                                    rep.tolerance)\n",
+     "replace": "",
+     "tests": ["tests/test_cli.py::test_tolerance_overrides_reach_their_reports"],
+     "expect": "killed",
+     "reason": "--tol is validated and then ignored"},
     # mutants the Parseval check cannot see: its total depends on |F|^2
     # averaged over full periods only, which a conjugated factor leaves
     # unchanged; only the byte-for-byte comparison with the stacked formula
