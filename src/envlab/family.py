@@ -11,7 +11,8 @@ fibered weight
 is convex with tau-slopes in [0, 1].  This module builds the family and
 the fibered weight and runs the quantitative checks on them, including the
 comparison of the naive fibered weight log(e^{tau + phi_A} + e^{phi_L})
-against phi after taking its 2-d envelope.
+against phi after taking its 2-d envelope, whose bound C takes its
+chart-box constants C1 and C2 from the sections module.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .envelope import equilibrium_envelope
 from .envelope2d import equilibrium_envelope_2d
 from .errors import InvalidInputError, InvalidParameterError
 from .fiber import oracle_normalization
-from .measures import base_density
 from .report import VerificationReport
+from .sections import _box_constants, unit_boxes
 from .weights import SampledWeight, SampledWeight2D, _is_integer
 
 __all__ = [
@@ -48,10 +49,6 @@ T_CAP = 1.0 - 1.0 / 1024.0
 
 # offsets d of the right-continuity ladder, coarsest first
 _DELTAS = (1 / 32, 1 / 64, 1 / 128, 1 / 256)
-
-# side of the half-overlapping s-boxes and t samples of the constant C1
-_BOX_SIZE = 1.0
-_T_SAMPLES = 101
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,51 +238,33 @@ def naive_fibered_weight(pair: ModelBundlePair, tau_grid) -> SampledWeight2D:
     return SampledWeight2D(tau_grid, pair.grid, vals, cayley_polytope(pair))
 
 
-def _oscillation_constants(pair: ModelBundlePair):
-    """Oscillation constant C1 and density-ratio constant C2 over s-boxes."""
-    s = pair.grid
-    k = oracle_normalization()
-    t = np.linspace(0.0, 1.0, _T_SAMPLES)
-    gam = np.array([math.log(math.gamma(1.0 + ti) * math.gamma(2.0 - ti) / k)
-                    for ti in t])
-    # reference family t phi_A + (1-t) phi_L - log(Gamma Gamma / K), all t
-    ref = (t[:, None] * pair.phi_A.values[None, :]
-           + (1.0 - t)[:, None] * pair.phi_L.values[None, :]
-           - gam[:, None])
-    starts = np.arange(s[0], s[-1], _BOX_SIZE / 2.0)
-    c1 = 0.0
-    for lo in starts:
-        box = (s >= lo) & (s <= lo + _BOX_SIZE)
-        if not np.any(box):
-            continue
-        piece = ref[:, box]
-        c1 = max(c1, float(piece.max() - piece.min()))
-    dens = base_density(s)
-    c2 = float(np.log(1.0 / dens.min()))
-    return c1, c2
-
-
 def minimal_singularity_gap(pair: ModelBundlePair,
                             fw: SampledWeight2D) -> VerificationReport:
     """Envelope of the log-sum weight stays within C of the fibered weight.
 
     Builds phi_inf(tau, s) = log(e^{tau + phi_A} + e^{phi_L}) on the grids
     of ``fw``, takes its 2-d envelope, and verifies
-    (phi_inf)_e <= phi + C with C = C1 + C2 + log 2 assembled from the
-    oscillation and density-ratio constants.
+    (phi_inf)_e <= phi + C with C = C1 + C2 + log 2, the chart-box
+    constants over unit s-boxes, C1 across the 101-t reference family
+    t phi_A + (1-t) phi_L - log(Gamma(1+t) Gamma(2-t) / K).
     """
     naive = naive_fibered_weight(pair, fw.grid_tau)
     if not np.array_equal(naive.grid_s, fw.grid_s):
         raise InvalidInputError("fibered weight must live on the pair grid")
     env = equilibrium_envelope_2d(naive)
     gap = float((env.values - fw.values).max())
-    c1, c2 = _oscillation_constants(pair)
-    c = c1 + c2 + math.log(2.0)
+    k = oracle_normalization()
+    t = np.linspace(0.0, 1.0, 101)[:, None]
+    gam = np.array([[math.log(math.gamma(1.0 + ti) * math.gamma(2.0 - ti) / k)]
+                    for ti in t.ravel().tolist()])
+    cc = _box_constants(
+        pair.grid, lambda s: t * pair.phi_A(s) + (1.0 - t) * pair.phi_L(s) - gam,
+        unit_boxes(pair.grid[0], pair.grid[-1]))
+    c = cc.total + math.log(2.0)
     return VerificationReport(
         check="envelope-gap-bound",
         max_violation=gap - c,
         grid={"tau_points": int(fw.grid_tau.size),
               "s_points": int(fw.grid_s.size),
-              "box_size": _BOX_SIZE},
-        details={"observed_gap": gap, "C": c, "C1": c1, "C2": c2,
-                 "K": oracle_normalization()})
+              "box_size": 1.0},
+        details={"observed_gap": gap, "C": c, "C1": cc.c1, "C2": cc.c2, "K": k})

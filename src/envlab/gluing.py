@@ -37,9 +37,10 @@ from functools import cache
 import numpy as np
 
 from .envelope2d import grid_line_defects
-from .errors import EnvlabError, GluingError, InvalidInputError, InvalidParameterError
+from .errors import (EnvlabError, GluingError, InvalidInputError,
+                     InvalidParameterError, PrecisionError)
 from .family import ModelBundlePair, family_curve, fibered_weight
-from .report import VerificationReport
+from .report import CHECKS, VerificationReport
 from .weights import SampledWeight, SampledWeight2D, _convex_hull, _is_number
 
 __all__ = [
@@ -198,7 +199,9 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
     ``config`` overrides keys of :data:`DEMO_CONFIG`: k (positive twist of
     the ambient log-norm term), d_A, d_L (divisor degrees), grid (points
     per axis, 2 to :data:`GRID_MAX`), epsilon; any other key fails the
-    config stage.
+    config stage.  When the glued values are too large for the grid to
+    resolve the check's tolerance (``rounding_floor`` in the report's
+    details), the verify stage fails with a PrecisionError.
     Returns the verification report and the glued, outer and inner
     weights keyed by those names.
     """
@@ -263,6 +266,13 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
         glued = glue_weights(outer, inner, region, kernel)
 
         stage = "verify"
+        # second differences of values rounded to an ulp are only known to
+        # 2 spacing(max |glued|) / h^2: past the tolerance there is no verdict
+        h_min = min(np.diff(tau_grid).min(), np.diff(s_grid).min())
+        floor = float(2.0 * np.spacing(np.abs(glued.values).max()) / h_min ** 2)
+        if floor > (tol := CHECKS["hirzebruch-gluing"].tol):
+            raise PrecisionError(f"rounding floor {floor:.3g} of the convexity "
+                                 f"defect exceeds its tolerance {tol:g}")
         defect = grid_line_defects(glued.values, tau_grid, s_grid)
         keep = tau_grid >= region.tau_boundary_outer
         outer_exact = bool(np.array_equal(glued.values[keep], outer.values[keep]))
@@ -276,7 +286,8 @@ def hirzebruch_demo(config) -> tuple[VerificationReport, dict]:
                      "normalization_shift": shift,
                      "line_convexity_defect": defect,
                      "outer_region_exact": outer_exact,
-                     "max_second_difference": float(second)})
+                     "max_second_difference": float(second),
+                     "rounding_floor": floor})
     except EnvlabError as exc:
         raise GluingError(f"stage '{stage}' failed: {exc}",
                           worst_point=getattr(exc, "worst_point", None)) from exc

@@ -19,7 +19,9 @@ slope_right] there is no approximant.
 
 The two are sandwiched around the envelope up to the comparison constant
 C' = C'_1 + C'_2 built from chart-box oscillations and the density ratio
-of the flat measure against the base measure.
+of the flat measure against the base measure (circle-averaged
+Fubini-Study), each box sampled at its grid points and its two ends
+clipped to the grid; the family module's gap bound shares that routine.
 
 For sections F(z, x) = sum_{l,k} c_{lk} z^l x^k on the model total space,
 circle averaging in the fiber angle is a Parseval identity: the weighted
@@ -48,8 +50,6 @@ import numpy as np
 from .envelope import _conjugate_1d, equilibrium_envelope
 from .errors import (InvalidCoverError, InvalidInputError,
                      InvalidParameterError, NoEnvelopeError, PrecisionError)
-from .family import ModelBundlePair
-from .measures import base_density
 from .report import VerificationReport
 from .weights import SampledWeight, SlopeInterval, _is_integer
 
@@ -210,10 +210,36 @@ def psi2_approximant(w: SampledWeight, d: int, m: int) -> SampledWeight:
     return _lattice_max(w, lattice, _log_norms_squared(w, lattice, m) / m)
 
 
+def base_density(s) -> np.ndarray:
+    """Circle-averaged Fubini-Study volume (e^{s/2} + e^{-s/2})^{-2} ds, of
+    mass one exactly (antiderivative tanh(s/2) / 2)."""
+    return 1.0 / (4.0 * np.cosh(np.asarray(s, dtype=float) / 2.0) ** 2)
+
+
 def unit_boxes(lo: float, hi: float):
     """Unit chart boxes covering [lo, hi], each overlapping the next by half."""
     starts = np.arange(lo, hi, 0.5)
     return [(float(s), float(s + 1.0)) for s in starts]
+
+
+def _box_constants(grid, f, boxes) -> ComparisonConstants:
+    """c1, the largest max - min of ``f`` over one box (all its leading
+    rows at once), and c2, the largest -log(base density) in one box.
+    Each box [a, b] is sampled at a and b clipped to the grid and at the
+    grid points between, and ``f`` is called once on every box's samples."""
+    a, b = np.clip(np.array(boxes, dtype=float), grid[0], grid[-1]).T
+    first = np.searchsorted(grid, a)
+    sizes = np.maximum(np.searchsorted(grid, b, "right") - first, 0) + 2
+    starts = np.cumsum(sizes) - sizes
+    # grid index of every sample; the two ends are overwritten below
+    idx = np.arange(sizes.sum()) + np.repeat(first - starts - 1, sizes)
+    pts = grid[np.clip(idx, 0, grid.size - 1)]
+    pts[starts], pts[starts + sizes - 1] = a, b
+    vals = np.asarray(f(pts)).reshape(-1, pts.size)
+    spread = (np.maximum.reduceat(vals.max(axis=0), starts)
+              - np.minimum.reduceat(vals.min(axis=0), starts))
+    dens = np.minimum.reduceat(base_density(pts), starts)
+    return ComparisonConstants(float(spread.max()), float((-np.log(dens)).max()))
 
 
 def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
@@ -232,17 +258,7 @@ def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
         reach = max(reach, b)
     if reach < hi - 1e-12:
         raise InvalidCoverError(f"boxes end at {reach}, grid ends at {hi}")
-
-    c1 = 0.0
-    c2 = -math.inf
-    for a, b in boxes:
-        pts = w.grid[(w.grid >= a) & (w.grid <= b)]
-        pts = np.concatenate([[max(a, lo)], pts, [min(b, hi)]])
-        vals = w(pts)
-        c1 = max(c1, float(vals.max() - vals.min()))
-        dens = base_density(pts)
-        c2 = max(c2, float(-np.log(dens.min())))
-    return ComparisonConstants(c1, c2)
+    return _box_constants(w.grid, w, boxes)
 
 
 def check_sandwich(w: SampledWeight, d: int, m: int,
@@ -302,12 +318,12 @@ def _parseval_kernel(pair, m):
 # past the float range a term or the total reads inf or nan, which is raised
 # as one PrecisionError instead of warned about element by element
 @np.errstate(over="ignore", invalid="ignore")
-def coefficient_inequality(section: ToricSection,
-                           pair: ModelBundlePair) -> VerificationReport:
+def coefficient_inequality(section: ToricSection, pair) -> VerificationReport:
     """Fiber-degree component masses against the total mass of a section.
 
     Both sides are weighted L2 integrals against e^{-m phi_inf} dV with
-    phi_inf = log(r^2 e^{phi_A} + e^{phi_L}): the per-component masses use
+    phi_inf = log(r^2 e^{phi_A} + e^{phi_L}) of ``pair``, a
+    family.ModelBundlePair: the per-component masses use
     the coefficient formula after circle averaging, the total averages
     |F|^2 over both angles by trapezoid (exact for polynomial sections)
     on the same radial/base nodes, with F evaluated at every angle node.

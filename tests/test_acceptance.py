@@ -1,6 +1,7 @@
 """Acceptance suite: one test per primary criterion, each printing a single
 pass/fail line and enforcing the stated tolerance and runtime budget."""
 
+import math
 import time
 
 import numpy as np
@@ -97,6 +98,14 @@ def test_envelope_gap_value(gap_bound):
     # 2-d envelope arithmetic; the observed gap itself is pinned
     gap = gap_bound[0].details["observed_gap"]
     assert abs(gap - 0.6919354635176505) <= 1e-12
+
+
+def test_envelope_gap_constants(gap_bound):
+    # every unit box is sampled at its ends as well as its grid points
+    d = gap_bound[0].details
+    assert d["C1"] == pytest.approx(20.999999998476454, abs=1e-12)
+    assert d["C2"] == pytest.approx(20.000000004122306, abs=1e-12)
+    assert d["C"] == d["C1"] + d["C2"] + math.log(2.0)
 
 
 def test_section_sandwich():

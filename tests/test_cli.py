@@ -403,6 +403,22 @@ def test_plot_data_matches_per_element_format(tmp_path):
     assert "-0 " in expected and "4.9406564584124654e-324" in expected
 
 
+@pytest.mark.parametrize("config, floor", [
+    ({"epsilon": 1e300}, "6e+285"), ({"epsilon": 1e10}, "7.69e-05"),
+    ({"k": 100000}, "4.69e-09")])
+def test_glue_demo_past_the_rounding_floor(tmp_path, capsys, config, floor):
+    # the defect of such a weight is rounding: 0 for epsilon = 1e300, a
+    # failure for the other two; either way there is no verdict to give
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["glue-demo", "--config", str(cfg), "--out", str(tmp_path)])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: stage 'verify'")
+    assert f"rounding floor {floor} " in lines[0]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
 @pytest.mark.parametrize("config, stage, message", [
     ([1, 2], None, "config must be a JSON object"),
     ({"k": None}, "config", "config k must be a finite number"),

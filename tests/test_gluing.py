@@ -201,6 +201,17 @@ def test_hirzebruch_demo_small(tmp_path):
         "glued.csv", "hirzebruch-gluing.json", "inner.csv", "outer.csv"]
 
 
+@pytest.mark.parametrize("config", [
+    {}, {"grid": 48}, {"grid": 64}, {"grid": 2048}, {"k": 30, "grid": 2048},
+    {"k": 10000}])
+def test_hirzebruch_demo_rounding_floor_below_tolerance(config):
+    # 2 spacing(max |glued|) / h^2 bounds the rounding in a second divided
+    # difference; on these configs it stays under the check's tolerance
+    rep, _ = hirzebruch_demo(config)
+    assert rep.passed
+    assert 0.0 < rep.details["rounding_floor"] < rep.tolerance
+
+
 def test_hirzebruch_demo_bad_config():
     with pytest.raises(GluingError) as err:
         hirzebruch_demo({"k": 0, "d_A": 1, "d_L": 0})

@@ -16,10 +16,9 @@ from envlab import (ComparisonConstants, FiberMeasure, InvalidCoverError,
                     comparison_constants, equilibrium_envelope,
                     holder_fiber_chain, psi1_approximant, psi2_approximant,
                     unit_boxes)
-from envlab.measures import base_density
 from envlab.cli import _bump_pair
-from envlab.sections import (_fiber_quadrature, _lattice_max,
-                             _log_norms_squared, _parseval_kernel,
+from envlab.sections import (_box_constants, _fiber_quadrature, base_density,
+                             _lattice_max, _log_norms_squared, _parseval_kernel,
                              _segment_nodes, _tail_nodes)
 from conftest import bumpy_model_weight, model_pair, weights_of_degree
 
@@ -169,6 +168,33 @@ def test_comparison_constants():
     assert flat.c1 == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         ComparisonConstants(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("k", [-40, 3, 40])
+def test_comparison_constants_scale_with_the_weight(bumpy, k):
+    # a power of two scales every sample and difference exactly; the base
+    # density does not see the weight, and its worst box is a grid end
+    boxes = unit_boxes(bumpy.grid[0], bumpy.grid[-1])
+    cc = comparison_constants(bumpy, boxes)
+    scaled = comparison_constants(
+        bumpy.with_values(2.0 ** k * bumpy.values, 2.0 ** k * bumpy.slope_left,
+                          2.0 ** k * bumpy.slope_right), boxes)
+    assert scaled.c1 == 2.0 ** k * cc.c1 > 0.0
+    assert scaled.c2 == cc.c2 == -np.log(base_density(bumpy.grid).min())
+
+
+def test_box_without_grid_points_is_measured_at_its_ends():
+    # w rises only between the grid points 1 and 2, and only the middle box,
+    # which holds no grid point, sees all of the rise it spans
+    s = np.arange(4.0)
+    w = SampledWeight(s, np.array([0.0, 0.0, 3.0, 3.0]), 0.0, 0.0)
+    boxes = [(-1.0, 1.25), (1.25, 1.75), (1.75, 4.0)]
+    assert comparison_constants(w, boxes).c1 == abs(w(1.25) - w(1.75)) == 1.5
+    # with leading rows, c1 is the spread over all rows of one box at once
+    both = _box_constants(s, lambda x: np.stack([w(x), w(x) + 1.0]), boxes)
+    assert both.c1 == w(1.75) + 1.0 - w(1.25) == 2.5
+    # a reversed box holds no grid point either: it is its two ends
+    assert _box_constants(s, w, [(2.5, 0.5)]).c1 == w(2.5) - w(0.5) == 3.0
 
 
 def test_comparison_constants_cover_errors(bumpy):

@@ -277,6 +277,32 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "at 2^-500 times the coefficients the total is below the "
                "floor"},
+    # the chart-box constants of the gap bound and the section sandwich
+    {"id": "box-ends-dropped",
+     "file": SECTIONS,
+     "find": "    pts[starts], pts[starts + sizes - 1] = a, b\n",
+     "replace": "",
+     "tests": [f"{TSEC}::test_box_without_grid_points_is_measured_at_its_ends"],
+     "expect": "killed",
+     "reason": "a box is measured at the grid points beside it, not at its "
+               "ends"},
+    {"id": "box-c2-smallest-box",
+     "file": SECTIONS,
+     "find": "float((-np.log(dens)).max())",
+     "replace": "float((-np.log(dens)).min())",
+     "tests": [f"{TSEC}::test_comparison_constants_scale_with_the_weight"],
+     "expect": "killed",
+     "reason": "the density ratio is read in the box nearest s = 0 instead "
+               "of at a grid end"},
+    # the gluing verdict's rounding floor
+    {"id": "glue-rounding-floor-unguarded",
+     "file": "src/envlab/gluing.py",
+     "find": 'if floor > (tol := CHECKS["hirzebruch-gluing"].tol):',
+     "replace": "if False:",
+     "tests": ["tests/test_cli.py::test_glue_demo_past_the_rounding_floor"],
+     "expect": "killed",
+     "reason": "a defect that is all rounding passes at epsilon = 1e300 and "
+               "fails at 1e10"},
     # the registry's default tolerances and the --tol overrides
     {"id": "registry-tolerance-missing",
      "file": "src/envlab/report.py",
@@ -357,6 +383,14 @@ def _copy_tree(dest):
             shutil.copy2(path, dest)
 
 
+def summary_ids(stdout):
+    """Test ids on pytest's short-summary lines: a test that failed
+    (``FAILED``) or whose setup or teardown raised (``ERROR``)."""
+    return [line.split(" ", 1)[1].split(" - ")[0]
+            for line in stdout.splitlines()
+            if line.startswith(("FAILED ", "ERROR "))]
+
+
 def run_entry(entry):
     """Apply ``entry`` to a fresh copy, run its tests; the outcome record."""
     record = {"id": entry["id"], "expect": entry["expect"]}
@@ -388,10 +422,7 @@ def run_entry(entry):
             record["outcome"] = "survived"
         elif done.returncode == 1:
             record["outcome"] = "killed"
-            failed = [line.split(" ", 1)[1].split(" - ")[0]
-                      for line in done.stdout.splitlines()
-                      if line.startswith("FAILED ")]
-            record["detail"] = failed[:3]
+            record["detail"] = summary_ids(done.stdout)[:3]
         else:
             record.update(outcome="error",
                           detail=(done.stdout + done.stderr).strip()[-400:])
