@@ -7,8 +7,8 @@ directory; created if missing).  envelope also writes the envelope as
 ``envelope.csv`` and gnuplot-ready ``envelope.dat`` columns (see
 export_plot_data); glue-demo, and so verify-all, also writes ``glued.csv``,
 ``outer.csv`` and ``inner.csv``, ``tau,s,phi`` rows.  --seed defaults to
-``RunManifest.seed``, a --tol name to its check's registry default, and a
-glue-demo --config overrides keys of ``gluing.DEMO_CONFIG``.  fiber-check
+42, a --tol name to its check's registry default, and a glue-demo --config
+overrides keys of ``gluing.DEMO_CONFIG``.  fiber-check
 always reports both normalization constants, K_oracle and K_stated.
 Exit status: 0 all checks pass, 1 a verification failed (reports are
 still written), 2 input or IO trouble.
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,32 +37,8 @@ from .sections import (check_sandwich, comparison_constants, psi1_approximant,
 from .weights import (SampledWeight, load_weight_csv, save_weight2d_csv,
                       save_weight_csv)
 
-__all__ = ["main", "run", "RunManifest", "export_plot_data",
-           "export_report", "export_weight2d_artifacts"]
-
-
-@dataclass
-class RunManifest:
-    """Everything one batch invocation depends on."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    out_dir: str = "."
-    seed: int = 42
-    tolerances: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        for name, tol in self.tolerances.items():
-            if name not in TOLERANCE_NAMES:
-                raise ValueError(f"unknown tolerance {name!r}; allowed: "
-                                 + ", ".join(TOLERANCE_NAMES))
-            if not (tol > 0 and math.isfinite(tol)):
-                raise ValueError(
-                    f"tolerance {name} must be positive and finite, got {tol}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+__all__ = ["main", "run", "export_plot_data", "export_report",
+           "export_weight2d_artifacts"]
 
 
 def export_report(report: VerificationReport, out_dir,
@@ -81,11 +56,10 @@ def export_report(report: VerificationReport, out_dir,
     return path
 
 
-def export_plot_data(w, path, envelope=None) -> str:
-    """Write gnuplot-ready columns of a 1D weight.
+def export_plot_data(w, path, envelope) -> str:
+    """Write gnuplot-ready columns of a 1D weight and its envelope.
 
-    Rows ``s u u_e psi`` (the envelope computed from the slope metadata
-    when not supplied), with psi the m = 64 approximant of degree
+    Rows ``s u u_e psi``, with psi the m = 64 approximant of degree
     d = round(slope_right), or the envelope when d = 0; when no slope k/64
     lies in the weight's slope interval there is no approximant, and the
     rows are ``s u u_e``.
@@ -93,8 +67,6 @@ def export_plot_data(w, path, envelope=None) -> str:
     path = str(path)
     # every column is computed before the file opens, so a failure leaves
     # no partial file behind
-    if envelope is None:
-        envelope = equilibrium_envelope(w, w.slope_interval)
     d = max(int(round(w.slope_right)), 0)
     try:
         psi = psi1_approximant(w, d, 64) if d > 0 else envelope
@@ -144,32 +116,28 @@ def _random_case(rng, i):
 # Each command handler builds its inputs once and yields its reports;
 # run() times, exports and prints them.
 
-def _cmd_envelope(manifest: RunManifest):
-    source = manifest.inputs.get("input")
-    if source is None:
-        raise InvalidInputError("envelope needs an input weight CSV")
-    w = load_weight_csv(source)
+def _cmd_envelope(args):
+    w = load_weight_csv(args.input)
     env = equilibrium_envelope(w, w.slope_interval)
-    export_plot_data(w, os.path.join(manifest.out_dir, "envelope.dat"),
-                     envelope=env)
-    save_weight_csv(env, os.path.join(manifest.out_dir, "envelope.csv"))
-    yield checks.check_envelope_run(w, env, str(source))
+    export_plot_data(w, os.path.join(args.out, "envelope.dat"), env)
+    save_weight_csv(env, os.path.join(args.out, "envelope.csv"))
+    yield checks.check_envelope_run(w, env, args.input)
 
 
-def _cmd_family(manifest: RunManifest):
+def _cmd_family(args):
     fc = family_curve(_bump_pair(), monotone_t_grid())
     yield check_monotone_family(fc)
     yield check_right_continuity(fc)
 
 
-def _cmd_fiber(manifest: RunManifest):
-    rng = np.random.default_rng(manifest.seed)
+def _cmd_fiber(args):
+    rng = np.random.default_rng(args.seed)
     yield checks.check_fiber_volume(rng, 100)
     yield checks.check_fiber_normalization(rng, 20)
 
 
-def _cmd_sections(manifest: RunManifest):
-    rng = np.random.default_rng(manifest.seed)
+def _cmd_sections(args):
+    rng = np.random.default_rng(args.seed)
     pair = _bump_pair(257)
     w = pair.phi_A
     cc = comparison_constants(w, unit_boxes(w.grid[0], w.grid[-1]))
@@ -177,35 +145,35 @@ def _cmd_sections(manifest: RunManifest):
     yield checks.check_coefficient_parseval(rng, pair, 20)
 
 
-def _cmd_glue(manifest: RunManifest):
+def _cmd_glue(args):
     config = {}
-    if "config" in manifest.inputs:
-        path = manifest.inputs["config"]
-        with open(path, "r", encoding="utf-8") as fh:
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 config = json.load(fh)
             except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise InvalidInputError(f"config {path} is not JSON: {exc}") from exc
+                raise InvalidInputError(
+                    f"config {args.config} is not JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise InvalidInputError(
                 f"config must be a JSON object, got {type(config).__name__}")
     report, weights = hirzebruch_demo(config)
-    export_weight2d_artifacts(weights, manifest.out_dir)
+    export_weight2d_artifacts(weights, args.out)
     yield report
 
 
-def _cmd_verify_all(manifest: RunManifest):
+def _cmd_verify_all(args):
     yield checks.check_envelope_oracle_equivalence(
-        np.random.default_rng(manifest.seed), _random_case, 10)
-    yield from _cmd_family(manifest)
-    yield from _cmd_fiber(manifest)
-    yield from _cmd_sections(manifest)
+        np.random.default_rng(args.seed), _random_case, 10)
+    yield from _cmd_family(args)
+    yield from _cmd_fiber(args)
+    yield from _cmd_sections(args)
     yield checks.check_regularized_max_contract(
-        np.random.default_rng(manifest.seed), 200)
-    yield from _cmd_glue(manifest)
+        np.random.default_rng(args.seed), 200)
+    yield from _cmd_glue(args)
 
 
-# command name -> (handler, help); the parser and RunManifest read this
+# command name -> (handler, help); the parser and run() read this
 COMMANDS = {
     "envelope": (_cmd_envelope, "envelope of one weight file"),
     "family": (_cmd_family, "family curve checks"),
@@ -216,23 +184,24 @@ COMMANDS = {
 }
 
 
-def run(manifest: RunManifest) -> int:
-    """Execute one manifest; returns the process exit status.
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line; returns the process exit status.
 
-    Each report takes its check's --tol override, if any, before it is
-    exported.  Its ``wall_time_s`` is the time its handler spent producing
-    it since the previous report (shared inputs count toward the first
-    check that uses them); export time is not included.
+    ``args`` comes from the parser, with ``args.tol`` checked into a
+    name -> value dict (see main).  Each report takes its check's --tol
+    override, if any, before it is exported.  Its ``wall_time_s`` is the
+    time its handler spent producing it since the previous report (shared
+    inputs count toward the first check that uses them); export time is
+    not included.
     """
     reports = []
     try:
-        os.makedirs(manifest.out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         start = time.perf_counter()
-        handler, _ = COMMANDS[manifest.command]
-        for rep in handler(manifest):
-            rep.tolerance = manifest.tolerances.get(CHECKS[rep.check].tol_name,
-                                                    rep.tolerance)
-            export_report(rep, manifest.out_dir, seed=manifest.seed,
+        for rep in COMMANDS[args.command][0](args):
+            rep.tolerance = args.tol.get(CHECKS[rep.check].tol_name,
+                                         rep.tolerance)
+            export_report(rep, args.out, seed=args.seed,
                           wall_time=time.perf_counter() - start)
             reports.append(rep)
             start = time.perf_counter()
@@ -253,35 +222,45 @@ def _parser():
           for name, (_, text) in COMMANDS.items()}
     sp["envelope"].add_argument("--input", required=True, help="weight CSV")
     sp["glue-demo"].add_argument("--config", help="demo config JSON")
+    p.set_defaults(config=None)  # verify-all runs the glue demo unconfigured
     for command in sp.values():
         command.add_argument("--out", default=os.environ.get("ENVLAB_OUT", "."),
                              help="output directory (default $ENVLAB_OUT or .)")
-        command.add_argument("--seed", type=int, default=RunManifest.seed)
+        command.add_argument("--seed", type=int, default=42)
         command.add_argument("--tol", action="append", default=[],
                              metavar="NAME=VALUE", help="tolerance override")
     return p
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+def _check_args(args) -> None:
+    """Turn ``args.tol`` into a name -> value dict; check it and --seed."""
     tolerances = {}
     for item in args.tol:
         name, _, value = item.partition("=")
         try:
             tolerances[name] = float(value)
         except ValueError:
-            print(f"error: bad tolerance override {item!r}", file=sys.stderr)
-            return 2
-    inputs = {k: v for k, v in vars(args).items()
-              if k in ("input", "config") and v}
+            raise ValueError(f"bad tolerance override {item!r}") from None
+    for name, tol in tolerances.items():
+        if name not in TOLERANCE_NAMES:
+            raise ValueError(f"unknown tolerance {name!r}; allowed: "
+                             + ", ".join(TOLERANCE_NAMES))
+        if not (tol > 0 and math.isfinite(tol)):
+            raise ValueError(
+                f"tolerance {name} must be positive and finite, got {tol}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    args.tol = tolerances
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        manifest = RunManifest(command=args.command, inputs=inputs,
-                               out_dir=args.out, seed=args.seed,
-                               tolerances=tolerances)
+        _check_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return run(manifest)
+    return run(args)
 
 
 if __name__ == "__main__":

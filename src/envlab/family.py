@@ -216,8 +216,10 @@ def fibered_weight(pair: ModelBundlePair, fc: FamilyCurve,
     """phi(tau, s) = max over the t-grid of t tau + (mixture envelope)(s).
 
     The t-grid must contain both endpoints so the tau -> +-inf asymptotics
-    are represented.
+    are represented, and ``fc`` must be the family curve of ``pair``.
     """
+    if fc.pair is not pair:
+        raise InvalidInputError("family curve was built on another pair")
     tau_grid = np.asarray(tau_grid, dtype=float)
     t = fc.t_grid
     if abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:

@@ -247,6 +247,9 @@ def comparison_constants(w: SampledWeight, chart_boxes) -> ComparisonConstants:
     boxes = sorted((float(a), float(b)) for a, b in chart_boxes)
     if not boxes:
         raise InvalidCoverError("no chart boxes given")
+    for a, b in boxes:
+        if b < a:
+            raise InvalidCoverError(f"chart box ({a}, {b}) is reversed")
     lo, hi = w.grid[0], w.grid[-1]
     covered = boxes[0][0]
     if covered > lo + 1e-12:

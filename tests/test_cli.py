@@ -14,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from envlab import (FiberMeasure, SampledWeight, holder_fiber_chain,
-                    save_weight_csv)
+from envlab import (FiberMeasure, SampledWeight, equilibrium_envelope,
+                    holder_fiber_chain, save_weight_csv)
 from envlab.gluing import GRID_MAX, hirzebruch_demo
 from envlab import cli
-from envlab.cli import RunManifest, export_plot_data, export_report, main, run
+from envlab.cli import export_plot_data, export_report, main
 from envlab.report import CHECKS, TOLERANCE_NAMES, VerificationReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -33,13 +33,12 @@ def _convex_csv(tmp_path):
     return path, w
 
 
-def test_manifest_validation():
-    with pytest.raises(ValueError):
-        RunManifest(command="bogus")
-    with pytest.raises(ValueError):
-        RunManifest(command="family", tolerances={"family": -1.0})
-    with pytest.raises(ValueError):
-        RunManifest(command="family", seed=-1)
+def test_unknown_command_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_envelope_command_convex_fixed_point(tmp_path):
@@ -264,7 +263,7 @@ def test_export_power_mean_report(tmp_path):
 
 def test_unregistered_check_is_a_program_fault(tmp_path, monkeypatch):
     # a handler emitting a check outside the registry is a bug, not bad input
-    def orphan(manifest):
+    def orphan(args):
         yield VerificationReport("orphan-check", 0.0, 1.0, {}, {})
 
     monkeypatch.setitem(cli.COMMANDS, "family", (orphan, "family curve checks"))
@@ -274,7 +273,7 @@ def test_unregistered_check_is_a_program_fault(tmp_path, monkeypatch):
 
 def test_value_error_in_handler_is_a_program_fault(tmp_path, monkeypatch):
     # a shape or broadcast bug inside a handler is not bad input
-    def broken(manifest):
+    def broken(args):
         raise ValueError("operands could not be broadcast together")
         yield
 
@@ -296,11 +295,6 @@ def test_glue_demo_config_not_json(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config"), err
-
-
-def test_envelope_manifest_without_input(tmp_path, capsys):
-    assert run(RunManifest("envelope", out_dir=str(tmp_path))) == 2
-    assert "input" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +372,8 @@ def test_verify_all_writes_reports_and_csvs(verify_all_run):
 
 def test_plot_data_1d_roundtrip(tmp_path):
     _, w = _convex_csv(tmp_path)
-    path = export_plot_data(w, tmp_path / "w.dat")
+    path = export_plot_data(w, tmp_path / "w.dat",
+                            equilibrium_envelope(w, w.slope_interval))
     cols = np.loadtxt(path, ndmin=2)
     assert cols.shape == (w.grid.size, 4)
     assert np.abs(cols[:, 0] - w.grid).max() == 0.0

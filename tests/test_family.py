@@ -190,6 +190,16 @@ def test_fibered_weight_needs_endpoints(pair):
         fibered_weight(pair, fcc, np.linspace(-1, 1, 5))
 
 
+def test_fibered_weight_needs_its_own_family_curve(pair):
+    # another pair on the same grid: its psi rows would be mixed with
+    # pair's values into a wrong weight
+    other = model_pair(n=257, seed=1)
+    assert np.array_equal(other.grid, pair.grid)
+    with pytest.raises(InvalidInputError):
+        fibered_weight(pair, family_curve(other, default_t_grid(9)),
+                       np.linspace(-1, 1, 5))
+
+
 def test_t_grid_refinement_never_decreases(pair):
     tau = np.linspace(-10.0, 10.0, 21)
     prev = None

@@ -204,6 +204,9 @@ def test_comparison_constants_cover_errors(bumpy):
         comparison_constants(bumpy, [(-20.0, 10.0)])
     with pytest.raises(InvalidCoverError):
         comparison_constants(bumpy, [])
+    lo, hi = bumpy.grid[0], bumpy.grid[-1]
+    with pytest.raises(InvalidCoverError):
+        comparison_constants(bumpy, [(lo, hi), (3.0, 1.0)])
 
 
 def test_sandwich(bumpy):

@@ -294,6 +294,22 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "the density ratio is read in the box nearest s = 0 instead "
                "of at a grid end"},
+    {"id": "reversed-box-accepted",
+     "file": SECTIONS,
+     "find": "        if b < a:",
+     "replace": "        if False:",
+     "tests": [f"{TSEC}::test_comparison_constants_cover_errors"],
+     "expect": "killed",
+     "reason": "a box (b, a) with b > a covers nothing but is measured at "
+               "its two ends"},
+    # the fibered weight reads the family curve of its own pair only
+    {"id": "fibered-weight-pair-unchecked",
+     "file": "src/envlab/family.py",
+     "find": "    if fc.pair is not pair:",
+     "replace": "    if False:",
+     "tests": ["tests/test_family.py::test_fibered_weight_needs_its_own_family_curve"],
+     "expect": "killed",
+     "reason": "another pair's offsets are mixed into this pair's weight"},
     # the gluing verdict's rounding floor
     {"id": "glue-rounding-floor-unguarded",
      "file": "src/envlab/gluing.py",
@@ -321,12 +337,20 @@ CATALOGUE = [
                "pinned table sees it"},
     {"id": "tol-override-dropped",
      "file": "src/envlab/cli.py",
-     "find": "            rep.tolerance = manifest.tolerances.get(CHECKS[rep.check].tol_name,\n"
-             "                                                    rep.tolerance)\n",
+     "find": "            rep.tolerance = args.tol.get(CHECKS[rep.check].tol_name,\n"
+             "                                         rep.tolerance)\n",
      "replace": "",
      "tests": ["tests/test_cli.py::test_tolerance_overrides_reach_their_reports"],
      "expect": "killed",
      "reason": "--tol is validated and then ignored"},
+    {"id": "negative-seed-accepted",
+     "file": "src/envlab/cli.py",
+     "find": "    if args.seed < 0:",
+     "replace": "    if False:",
+     "tests": ["tests/test_cli.py::test_negative_seed"],
+     "expect": "killed",
+     "reason": "numpy takes no negative seed, so the run ends in a raw "
+               "ValueError instead of an error line"},
     # mutants the Parseval check cannot see: its total depends on |F|^2
     # averaged over full periods only, which a conjugated factor leaves
     # unchanged; only the byte-for-byte comparison with the stacked formula
