@@ -147,7 +147,7 @@ def _cmd_sections(args):
 
 def _cmd_glue(args):
     config = {}
-    if args.config:
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 config = json.load(fh)

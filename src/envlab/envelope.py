@@ -17,8 +17,10 @@ below u whose derivative stays in I.  Two independent routes are provided:
 
 * :func:`hull_envelope` builds the lower convex hull of the sampled graph
   in the primal plane, with cross-product predicates and no line
-  envelope, and then clamps the hull slopes to I.  It serves as the
-  independent oracle.
+  envelope, and then clamps the hull slopes to I: the envelope is affine
+  left of the hull vertex where slope sigma_min touches and right of the
+  one where sigma_max does, and on the strictly increasing grid each of
+  these tails is a slice.  It serves as the independent oracle.
 
 The line envelope merges convex runs.  One vectorized pass computes the
 crossings of neighbouring lines and drops every line at which they do not
@@ -45,7 +47,12 @@ chords between the hull points found so far are refined at once: a chord
 whose in-between points all survive spans a convex run and takes them all;
 a chord with nothing strictly below it is final and takes the points on
 it; any other chord takes its first lowest point and keeps only the points
-strictly below it.  A weight of a few convex runs and concave stretches
+strictly below it.  A chord carries its two ends and the count of its
+points, which sit together in the sorted list of points still in play, so
+a level takes the chord's terms of the turn (s_a, u_a, s_b - s_a and
+u_b - u_a) once per chord and repeats them over its points; one binary
+search of the new chord ends in the points kept gives the next level's
+chords and counts.  A weight of a few convex runs and concave stretches
 needs a handful of such levels, each a few array passes.  The hull is the
 one-point-at-a-time monotone chain's whenever rounding decides no turn
 differently, as on integer data; within an ulp of collinear the two may
@@ -81,7 +88,6 @@ def _upper_line_envelope(slopes, intercepts):
     """
     m = np.asarray(slopes, dtype=float)
     b = np.asarray(intercepts, dtype=float)
-    idx = np.arange(m.size)
     same = m[1:] == m[:-1]
     if same.any():
         # an equal-slope group stands as its first line with the top intercept
@@ -90,6 +96,8 @@ def _upper_line_envelope(slopes, intercepts):
         last = np.append(first[1:], m.size) - 1
         idx = first[np.append(~same, True)[last]]
         m, b = m[idx], b[idx]
+    else:
+        idx = np.arange(m.size)
     # Crossings of neighbouring lines.  Where they fail to increase strictly
     # the middle line never reaches the envelope; what is left falls into
     # runs of consecutive lines that are each their own envelope.  With |u|
@@ -290,7 +298,7 @@ def _below_2_510(a):
     pushes below the normal range."""
     if a.size == 0:
         return a
-    k = int(np.frexp(np.abs(a).max())[1]) - 510
+    k = int(np.frexp(max(-a.min(), a.max()))[1]) - 510
     return np.ldexp(a, -k) if k > 0 else a
 
 
@@ -304,33 +312,48 @@ def _monotone_chain_lower(s, u):
         return np.arange(n)
     # a point strictly above the chord of its neighbours is never on the hull
     mid = _turn(s, u, slice(None, -2), slice(1, -1), slice(2, None))
-    pts = np.flatnonzero(mid <= 0.0) + 1
+    pts = (mid <= 0.0).nonzero()[0] + 1
     hull = [np.array([0, n - 1])]
-    ends = hull[0]
+    # chord c runs from point a[c] to point b[c], and the cnt[c] points
+    # between them still in play are pts[first[c]:first[c] + cnt[c]]
+    a, b = np.array([0]), np.array([n - 1])
+    first, cnt = np.array([0]), np.array([pts.size])
     while pts.size:
-        # group the points by the chord (a, b) of ``ends`` bracketing them
-        c = np.searchsorted(ends, pts) - 1
-        a, b = ends[c], ends[c + 1]
-        new = np.concatenate(([True], c[1:] != c[:-1]))
-        first = np.flatnonzero(new)
-        g = np.cumsum(new) - 1
-        t = _turn(s, u, a, pts, b)
+        # _turn(s, u, a, pts, b) bit for bit, its chord terms taken once
+        # per chord
+        sa, ua = s[a], u[a]
+        t = u[pts]
+        t -= np.repeat(ua, cnt)
+        t *= np.repeat(s[b] - sa, cnt)
+        d = s[pts]
+        d -= np.repeat(sa, cnt)
+        d *= np.repeat(u[b] - ua, cnt)
+        t -= d
         tmin = np.minimum.reduceat(t, first)
         # a chord with every point in between still present spans a convex
         # run (each of them passed the neighbour test): all are on the hull
-        run = np.bincount(g) == (b - a - 1)[first]
+        run = cnt == b - a - 1
         split = (tmin < 0.0) & ~run
         # a final chord (nothing strictly below) keeps its collinear points
-        hull.append(pts[run[g] | (~split[g] & (t == 0.0))])
+        in_split = np.repeat(split, cnt)
+        hull.append(pts[np.repeat(run, cnt) | ((t == 0.0) & ~in_split)])
         # a split chord's first lowest point joins the hull; only the points
         # strictly below the chord can still be on it
-        low = np.where(t == tmin[g], np.arange(t.size), t.size)
-        at = np.minimum.reduceat(low, first)[split]
-        hull.append(pts[at])
-        ends = np.column_stack((a[first][split], pts[at], b[first][split])).ravel()
-        keep = split[g] & (t < 0.0)
+        low = (t == np.repeat(tmin, cnt)).nonzero()[0]
+        at = low[low.searchsorted(first[split])]
+        keep = in_split & (t < 0.0)
         keep[at] = False
+        ends = np.stack((a[split], pts[at], b[split]), axis=1)
+        hull.append(ends[:, 1])
         pts = pts[keep]
+        # consecutive ends bound the next chords, whose points start where
+        # their left ends fall among the points kept; a chord left empty,
+        # such as the one from a split chord's b to the next one's a, drops
+        ends = ends.ravel()
+        start = pts.searchsorted(ends)
+        cnt = start[1:] - start[:-1]
+        c = cnt.nonzero()[0]
+        a, b, first, cnt = ends[c], ends[c + 1], start[c], cnt[c]
     return np.sort(np.concatenate(hull))
 
 
@@ -346,9 +369,9 @@ def hull_envelope(w: SampledWeight, interval: SlopeInterval) -> SampledWeight:
         ia = int(np.argmin(hu - lo * hs))
         ib = int(np.argmin(hu - hi * hs))
         env = np.interp(s, hs, hu)
-        left = s <= hs[ia]
+        # the grid strictly increases, so each tail is a slice
+        left, right = slice(h[ia] + 1), slice(h[ib], None)
         env[left] = hu[ia] + lo * (s[left] - hs[ia])
-        right = s >= hs[ib]
         env[right] = hu[ib] + hi * (s[right] - hs[ib])
         env = np.minimum(env, u)
     return SampledWeight(s, _finite(env), lo, hi)

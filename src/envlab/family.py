@@ -96,7 +96,8 @@ def _check_t(t):
 def mix_weights(pair: ModelBundlePair, t: float) -> SampledWeight:
     """The mixture t phi_A + (1-t) phi_L with its interpolated slope data."""
     t = float(t)
-    _check_t(t)
+    if not 0.0 <= t <= 1.0:
+        raise InvalidParameterError(f"t must lie in [0, 1], got {t}")
     vals = t * pair.phi_A.values + (1.0 - t) * pair.phi_L.values
     return SampledWeight(pair.grid, vals, 0.0, mixed_degree(pair, t))
 

@@ -58,7 +58,7 @@ class SlopeInterval:
     sigma_max: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma_min) and np.isfinite(self.sigma_max)):
+        if not (math.isfinite(self.sigma_min) and math.isfinite(self.sigma_max)):
             raise InvalidInputError("slope interval endpoints must be finite")
         if self.sigma_min > self.sigma_max:
             raise InvalidInputError(

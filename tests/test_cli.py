@@ -288,6 +288,16 @@ def test_negative_seed(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: seed"), err
 
 
+def test_glue_demo_empty_config_path_is_a_missing_file(tmp_path, capsys):
+    # "" names no file: it is not read as "no config"
+    code = main(["glue-demo", "--config", "", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "No such file" in err[0], err
+    assert not list(tmp_path.iterdir())
+
+
 def test_glue_demo_config_not_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{bad")

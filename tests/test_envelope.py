@@ -233,6 +233,13 @@ def _hull_cases():
     big = 65536
     s_big = np.linspace(-20.0, 20.0, big)
     lifted = np.exp(s_big) + np.where(np.arange(big) % 2 == 1, 1e-3, 0.0)
+    # slope up, down, up, down, up: three convex runs split by two concave
+    # stretches, the fine-grid class with few chords and long bridges
+    slope = np.interp(s_big, [-20.0, -9.0, -3.0, 4.0, 11.0, 20.0],
+                      [-1.0, 1.5, 0.2, 2.0, 0.4, 3.0])
+    quad = np.concatenate(([0.0], np.cumsum(0.5 * (slope[1:] + slope[:-1])
+                                            * np.diff(s_big))))
+    bumpy = bumpy_model_weight(np.random.default_rng(1), n=513, d=3)
     return [("n2", np.array([0.0, 1.0]), np.array([3.0, -1.0]), [0, 1]),
             ("n3-above", np.arange(3.0), np.array([0.0, 1.0, 0.0]), [0, 2]),
             ("n3-below", np.arange(3.0), np.array([0.0, -1.0, 0.0]), [0, 1, 2]),
@@ -247,7 +254,11 @@ def _hull_cases():
              (np.arange(float(big)) - big // 2) ** 2, np.arange(big)),
             # the convex points are not consecutive, so every chord splits
             # and the hull takes many levels
-            ("exp-alternate-lifted-65536", s_big, lifted, None)]
+            ("exp-alternate-lifted-65536", s_big, lifted, None),
+            ("quadratic-three-runs-65536", s_big, quad, None),
+            # the CLI's random-case class: eight levels of up to eight
+            # small chords
+            ("bumpy-513", bumpy.grid, bumpy.values, None)]
 
 
 @pytest.mark.parametrize("s, u, want", [pytest.param(s, u, h, id=name)

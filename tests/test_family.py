@@ -29,8 +29,10 @@ def test_mix_endpoints(pair):
     assert np.array_equal(mix_weights(pair, 1.0).values, pair.phi_A.values)
     mid = mix_weights(pair, 0.5)
     assert mid.slope_right == pytest.approx(0.5 * (pair.d_A + pair.d_L))
-    with pytest.raises(InvalidParameterError):
-        mix_weights(pair, 1.5)
+    for bad in (1.5, -0.25, float("nan")):
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^t must lie in \[0, 1\], got {bad}$"):
+            mix_weights(pair, bad)
 
 
 def test_family_curve_nonpositive(fc):

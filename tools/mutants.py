@@ -99,13 +99,83 @@ CATALOGUE = [
      "reason": "a run's lines that its bridge line popped come back"},
     {"id": "quickhull-drops-collinear-neighbours",
      "file": ENV1D,
-     "find": "pts = np.flatnonzero(mid <= 0.0) + 1",
-     "replace": "pts = np.flatnonzero(mid < 0.0) + 1",
+     "find": "pts = (mid <= 0.0).nonzero()[0] + 1",
+     "replace": "pts = (mid < 0.0).nonzero()[0] + 1",
      "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
                f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
      "expect": "killed",
      "reason": "a point on the chord of its neighbours is on the hull when "
                "they are"},
+    # the quickhull's per-chord bookkeeping
+    {"id": "quickhull-runs-not-taken",
+     "file": ENV1D,
+     "find": "hull.append(pts[np.repeat(run, cnt) | ((t == 0.0) & ~in_split)])",
+     "replace": "hull.append(pts[(t == 0.0) & ~in_split])",
+     "tests": [f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "the points of a convex run strictly below its chord never "
+               "join the hull"},
+    {"id": "quickhull-turn-chord-terms-swapped",
+     "file": ENV1D,
+     "find": "t *= np.repeat(s[b] - sa, cnt)",
+     "replace": "t *= np.repeat(u[b] - ua, cnt)",
+     "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
+               f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "the turn multiplies by the chord's rise where it needs its "
+               "run"},
+    {"id": "quickhull-split-skips-chord-first-point",
+     "file": ENV1D,
+     "find": "at = low[low.searchsorted(first[split])]",
+     "replace": 'at = low[low.searchsorted(first[split], "right")]',
+     "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
+               f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "a split chord whose lowest point is its first splits at a "
+               "point of the next chord"},
+    {"id": "quickhull-split-point-stays-in-play",
+     "file": ENV1D,
+     "find": "        keep[at] = False\n",
+     "replace": "",
+     "tests": [f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "the split point falls inside its right chord and joins the "
+               "hull twice"},
+    {"id": "quickhull-right-chord-ends-at-split-point",
+     "file": ENV1D,
+     "find": "ends = np.stack((a[split], pts[at], b[split]), axis=1)",
+     "replace": "ends = np.stack((a[split], pts[at], pts[at]), axis=1)",
+     "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
+               f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "the points right of the split point are measured against "
+               "the wrong chord"},
+    {"id": "quickhull-chord-starts-one-end-late",
+     "file": ENV1D,
+     "find": "a, b, first, cnt = ends[c], ends[c + 1], start[c], cnt[c]",
+     "replace": "a, b, first, cnt = ends[c], ends[c + 1], start[c + 1], cnt[c]",
+     "tests": [f"{T1D}::test_monotone_chain_lower_brute_force",
+               f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "each chord's minimum is read from its right neighbour's "
+               "points"},
+    {"id": "quickhull-chord-terms-over-wrong-points",
+     "file": ENV1D,
+     "find": "t -= np.repeat(ua, cnt)",
+     "replace": "t -= np.repeat(ua, cnt[::-1])",
+     "tests": [f"{T1D}::test_monotone_chain_lower_degenerate_shapes"],
+     "expect": "killed",
+     "reason": "with chords of unequal counts, a chord's u_a is repeated "
+               "over another chord's points"},
+    {"id": "hull-left-tail-past-pinch",
+     "file": ENV1D,
+     "find": "left, right = slice(h[ia] + 1), slice(h[ib], None)",
+     "replace": "left, right = slice(h[ia] + 2), slice(h[ib], None)",
+     "tests": [f"{T1D}::test_dual_routes_agree",
+               f"{T1D}::test_dual_routes_agree_at_fine_grid_size"],
+     "expect": "killed",
+     "reason": "the grid point after the left pinch vertex takes the "
+               "boundary slope's line below the hull"},
     # the 2-d envelope's triangle scan
     {"id": "facet-cover-ignores-upper-edge",
      "file": ENV2D,
@@ -310,6 +380,13 @@ CATALOGUE = [
      "tests": ["tests/test_family.py::test_fibered_weight_needs_its_own_family_curve"],
      "expect": "killed",
      "reason": "another pair's offsets are mixed into this pair's weight"},
+    {"id": "mix-weights-accepts-nan",
+     "file": "src/envlab/family.py",
+     "find": "    if not 0.0 <= t <= 1.0:",
+     "replace": "    if t < 0.0 or t > 1.0:",
+     "tests": ["tests/test_family.py::test_mix_endpoints"],
+     "expect": "killed",
+     "reason": "a NaN t fails neither comparison and mixes a NaN weight"},
     # the gluing verdict's rounding floor
     {"id": "glue-rounding-floor-unguarded",
      "file": "src/envlab/gluing.py",
@@ -351,6 +428,14 @@ CATALOGUE = [
      "expect": "killed",
      "reason": "numpy takes no negative seed, so the run ends in a raw "
                "ValueError instead of an error line"},
+    {"id": "empty-config-read-as-none",
+     "file": "src/envlab/cli.py",
+     "find": "    if args.config is not None:",
+     "replace": "    if args.config:",
+     "tests": ["tests/test_cli.py::"
+               "test_glue_demo_empty_config_path_is_a_missing_file"],
+     "expect": "killed",
+     "reason": "glue-demo --config '' runs the default demo and exits 0"},
     # mutants the Parseval check cannot see: its total depends on |F|^2
     # averaged over full periods only, which a conjugated factor leaves
     # unchanged; only the byte-for-byte comparison with the stacked formula
